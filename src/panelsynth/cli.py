@@ -70,7 +70,11 @@ def _load_queries(spec: str | None):
     if not spec:
         return []
     path = Path(spec)
-    if path.exists():
+    try:
+        is_file = path.exists()
+    except OSError:  # e.g. inline JSON longer than the file-name limit
+        is_file = False
+    if is_file:
         return parse_queries(path.read_text())
     return parse_queries(spec)
 

@@ -95,6 +95,11 @@ class CumulativeSynthesizer:
     hat_S[b, t] - hat_S[b, t-1] synthetic rows out of the weight-(b-1) pool
     with a 1. Pools are read at their round t-1 state, so the loop over b is
     order-independent on disjoint pools.
+
+    Pool order: each round groups the rows once by synthetic weight. Within a
+    pool the rows are taken in ascending row index, and the pool's
+    ``permutation`` draw indexes into that order, so a seed fixes every
+    published column.
     """
 
     def __init__(self, n: int, cfg: CumulativeSynthConfig, rng=None):
@@ -114,7 +119,9 @@ class CumulativeSynthesizer:
         self._select = streams[cfg.T]
         self.bank = MonotoneBank(cfg.T, m=self.n)
         self.store = SyntheticStore(self.n)
-        self._synth_weights = np.zeros(self.n, dtype=np.int64)
+        # smallest unsigned dtype holding T: weights of at most 16 bits take
+        # numpy's radix argsort
+        self._synth_weights = np.zeros(self.n, dtype=np.min_scalar_type(cfg.T))
         self._true_weights = np.zeros(self.n, dtype=np.int64)
         # raw (pre-monotonization) counter outputs, for diagnostics
         self.s_tilde = np.zeros((cfg.T + 1, cfg.T + 1), dtype=np.int64)
@@ -140,16 +147,25 @@ class CumulativeSynthesizer:
         true_col = dataset.column(t)
         # arrivals[w] = number of true rows at weight w before round t reporting 1 now
         arrivals = np.bincount(self._true_weights[true_col == 1], minlength=t)
+        # synthetic weights before round t lie in 0..t-1; the stable sort lists
+        # each weight pool's rows in ascending index order
+        sizes = np.bincount(self._synth_weights, minlength=t)
+        order = np.argsort(self._synth_weights, kind="stable")
         column = np.zeros(self.n, dtype=np.uint8)
+        stop = 0
         for b in range(1, t + 1):
             s_tilde = self.counters[b].feed(int(arrivals[b - 1]))
             self.s_tilde[b, t] = s_tilde
             self.fed[b, t] = True
             s_hat = self.bank.monotonize(b, t, s_tilde)
             z_hat = s_hat - self.bank.value(b, t - 1)
-            pool = np.nonzero(self._synth_weights == b - 1)[0]
-            # the upper clamp makes z_hat <= pool.size; violation is a bug
-            assert 0 <= z_hat <= pool.size
+            start, stop = stop, stop + int(sizes[b - 1])
+            pool = order[start:stop]
+            # the upper clamp makes z_hat <= pool.size; a violation is a bug
+            if not 0 <= z_hat <= pool.size:
+                raise RuntimeError(
+                    f"round {t}: threshold {b} needs {z_hat} new rows from a pool of {pool.size}"
+                )
             perm = self._select.permutation(pool.size)
             column[pool[perm[:z_hat]]] = 1
         self.store.append_column(column)

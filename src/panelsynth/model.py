@@ -45,6 +45,16 @@ def all_suffixes(k: int) -> list[str]:
     return [suffix_string(code, k) for code in range(1 << k)]
 
 
+def _bit_copy(col: np.ndarray, what: str) -> np.ndarray:
+    """A new uint8 copy of col; ValueError unless every value is 0 or 1."""
+    # NaN and out-of-range floats cast to arbitrary bytes; the equality test rejects them
+    with np.errstate(invalid="ignore"):
+        bits = col.astype(np.uint8)
+    if bits.max(initial=0) > 1 or not np.array_equal(bits, col):
+        raise ValueError(f"{what} must be 0 or 1")
+    return bits
+
+
 @dataclass
 class RoundUpdate:
     """One round of reports: ``bits[i]`` is individual i's bit for round t."""
@@ -97,9 +107,7 @@ class LongitudinalDataset:
             raise ValueError(
                 f"round {update.t}: expected {self.n} bits, got shape {col.shape}"
             )
-        if not np.isin(col, (0, 1)).all():
-            raise ValueError(f"round {update.t}: values must be 0 or 1")
-        self._cols.append(col.astype(np.uint8))
+        self._cols.append(_bit_copy(col, f"round {update.t}: values"))
         return self
 
     def column(self, t: int) -> np.ndarray:
@@ -214,9 +222,7 @@ class SyntheticStore:
         col = np.asarray(bits)
         if col.shape != (self.m,):
             raise ValueError(f"expected {self.m} bits, got shape {col.shape}")
-        if not np.isin(col, (0, 1)).all():
-            raise ValueError("synthetic bits must be 0 or 1")
-        self._cols.append(col.astype(np.uint8).copy())
+        self._cols.append(_bit_copy(col, "synthetic bits"))
 
     def column(self, t: int) -> np.ndarray:
         if not 1 <= t <= self.t_max:

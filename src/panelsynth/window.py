@@ -158,6 +158,11 @@ class WindowSynthesizer:
     construction, so a run is reproducible from its seed. Per-bin noise is
     drawn in lexicographic bin order; rounding bits and index permutations
     follow in overlap-group order.
+
+    Pool order: each round groups the rows once by their overlap code. Within
+    a group the rows are taken in ascending row index, and the group's
+    ``permutation`` draw indexes into that order, so a seed fixes every
+    published column.
     """
 
     def __init__(self, cfg: WindowSynthConfig, rng=None):
@@ -179,7 +184,9 @@ class WindowSynthesizer:
         self.m: int | None = None
         self.t = 0
         self._p: np.ndarray | None = None  # synthetic counts per k-bit bin code
-        self._state: np.ndarray | None = None  # per-row code of trailing k-1 bits
+        # per-row code of the trailing k-1 bits, in the smallest unsigned dtype
+        # that holds it: keys of at most 16 bits take numpy's radix argsort
+        self._state: np.ndarray | None = None
 
     @property
     def sigma2(self) -> Fraction:
@@ -221,7 +228,8 @@ class WindowSynthesizer:
         codes = np.repeat(np.arange(1 << k, dtype=np.int64), c_hat)
         for j in range(1, k + 1):
             self.store.append_column((codes >> (k - j)) & 1)
-        self._state = codes & ((1 << (k - 1)) - 1)
+        overlap = (1 << (k - 1)) - 1
+        self._state = (codes & overlap).astype(np.min_scalar_type(overlap))
         self._p = c_hat
         self.t = k
         return self.store.matrix()
@@ -258,14 +266,31 @@ class WindowSynthesizer:
             p_new[2 * z] = p_z0
             p_new[2 * z + 1] = p_z1
 
+        # stable, so each group lists its rows in ascending index order
+        order = np.argsort(self._state, kind="stable")
+        sizes = p_new[0::2] + p_new[1::2]
+        stops = np.cumsum(sizes)
+        starts = stops - sizes
+        # The sorted codes never decrease, so when the sizes sum to m and the
+        # first and last row of every non-empty group z hold z, group z is
+        # exactly order[start:stop]: an O(2^k) check that the group sizes
+        # equal the released counts.
+        filled = np.flatnonzero(sizes)
+        if (
+            stops[-1] != self.m
+            or (self._state[order[starts[filled]]] != filled).any()
+            or (self._state[order[stops[filled] - 1]] != filled).any()
+        ):
+            raise RuntimeError(f"round {t}: overlap group sizes differ from the released counts")
         column = np.zeros(self.m, dtype=np.uint8)
         for z in range(half):
-            pool = np.nonzero(self._state == z)[0]
-            assert pool.size == int(p_new[2 * z] + p_new[2 * z + 1])
+            pool = order[starts[z] : stops[z]]
             ones = int(p_new[2 * z + 1])
             perm = self._select.permutation(pool.size)
             column[pool[perm[:ones]]] = 1
-        self._state = ((self._state << 1) | column) & (half - 1)
+        self._state <<= 1
+        self._state |= column
+        self._state &= half - 1
         self._p = p_new
         self.store.append_column(column)
         self.t = t

@@ -173,6 +173,18 @@ class TestNoisyRunInvariants:
         assert meta["rho_spent"] == pytest.approx(meta["rho"])
 
 
+class TestReleaseInvariant:
+    def test_pool_too_small_raises(self):
+        rng = np.random.default_rng(6)
+        ds = random_dataset(rng, 40, 4, p=0.5)
+        synth = CumulativeSynthesizer(40, CumulativeSynthConfig(T=4, noiseless=True), rng)
+        synth.step(ds, 1)
+        synth._synth_weights[:] = 1
+        with pytest.raises(RuntimeError, match="pool"):
+            synth.step(ds, 2)
+        assert synth.store.t_max == 1
+
+
 class TestCounterPlugin:
     def test_custom_counter_factory_is_used(self):
         calls = []

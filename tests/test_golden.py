@@ -1,0 +1,78 @@
+"""Pinned output digests for seeded runs of both engines.
+
+Each digest is the SHA-256 of every published column, in round order. The
+selection RNG's permutation draws index into each group's rows taken in
+ascending row index, so any regrouping of rows inside ``step`` must keep
+these digests exactly.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from conftest import random_dataset
+from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
+from panelsynth.model import LongitudinalDataset, SyntheticStore
+from panelsynth.window import PaddingExhaustedError, WindowSynthConfig, WindowSynthesizer
+
+
+def _panel(seed: int, n: int, T: int) -> LongitudinalDataset:
+    return random_dataset(np.random.default_rng(seed), n, T, p=0.3)
+
+
+def _digest(store: SyntheticStore) -> str:
+    h = hashlib.sha256()
+    for t in range(1, store.t_max + 1):
+        h.update(store.column(t).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "k, n, T, rho, seed, m, digest",
+    [
+        (1, 500, 8, 0.5, 101, 521,
+         "1e6576b99ab22354d77c7ccb641ceb80d57b7f44f6ee02f28d3167132ca30196"),
+        (3, 3000, 12, 0.05, 103, 3345,
+         "73cb442ac021dc15800857f89075e3f3181dbefd9dfb1a9b355d3dc84b2ab7d6"),
+        (10, 2000, 14, 1.0, 110, 11203,
+         "7020f48495b54522376f11c88b630f8189fe64ad5375055a052e9e12bc1e9628"),
+    ],
+    ids=["k1", "k3", "k10"],
+)
+def test_window_columns_are_pinned(k, n, T, rho, seed, m, digest):
+    synth = WindowSynthesizer(WindowSynthConfig(T=T, k=k, rho=rho), np.random.default_rng(seed))
+    store = synth.run(_panel(seed, n, T))
+    assert (store.m, store.t_max) == (m, T)
+    assert _digest(store) == digest
+
+
+def test_window_padding_failure_is_pinned():
+    cfg = WindowSynthConfig(T=12, k=3, rho=0.005, n_pad=30)
+    synth = WindowSynthesizer(cfg, np.random.default_rng(118))
+    with pytest.raises(PaddingExhaustedError) as info:
+        synth.run(_panel(118, 300, 12))
+    err = info.value
+    assert (err.t, err.suffix, err.value) == (12, "110", -13)
+    assert (synth.m, synth.store.t_max) == (585, 11)
+    assert _digest(synth.store) == (
+        "4da8040cb983439196c95aa31f8d9a5aafbe8dd3a2ad4b4ffb22c40693dfffec"
+    )
+
+
+@pytest.mark.parametrize(
+    "T, n, rho, seed, digest",
+    [
+        (12, 3000, 0.05, 112,
+         "565228bd4fc62aa55c4a6f03ccbfd48375598270fe9d1305f6a09273525414e5"),
+        (40, 1000, 0.5, 140,
+         "1a25cca7b6ecfa349439a9a4cac456b798988bbd6acd1a88f01b6a97f46c1c64"),
+    ],
+    ids=["T12", "T40"],
+)
+def test_cumulative_columns_are_pinned(T, n, rho, seed, digest):
+    cfg = CumulativeSynthConfig(T=T, rho=rho)
+    synth = CumulativeSynthesizer(n, cfg, np.random.default_rng(seed))
+    store = synth.run(_panel(seed, n, T))
+    assert store.t_max == T
+    assert _digest(store) == digest

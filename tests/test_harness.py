@@ -251,6 +251,16 @@ class TestCli:
                    "--seed", "1", "--out", str(tmp_path / "run")])
         assert rc == 3
 
+    def test_inline_queries_longer_than_a_file_name(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("0,0,1,1\n0,1,1,0\n1,1,1,1\n0,0,0,0\n")
+        spec = json.dumps([{"kind": "window", "s": format(c, "03b"), "t": 4} for c in range(8)])
+        assert len(spec) > 255
+        rc = main(["eval", "--data", str(data), "--queries", spec])
+        assert rc == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [float(r.rsplit(",", 1)[1]) for r in rows] == [0.25, 0, 0, 0.25, 0, 0, 0.25, 0.25]
+
     def test_unsupported_window_eval_guard(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("1,1,1,1\n0,0,0,0\n")

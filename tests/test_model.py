@@ -16,6 +16,10 @@ from panelsynth.model import (
 )
 
 
+# values a bit column must refuse, including ones that cast to 0 or 1 as uint8
+NON_BITS = [2, 0.5, -1, float("nan"), 256.0, -256]
+
+
 class TestSuffixKeys:
     def test_roundtrip(self):
         for k in (1, 2, 3, 5):
@@ -55,10 +59,12 @@ class TestIngest:
         with pytest.raises(ValueError, match="expected 3 bits"):
             ds.ingest_round(RoundUpdate(1, [0, 1]))
 
-    def test_non_binary_value(self):
+    @pytest.mark.parametrize("bad", NON_BITS, ids=repr)
+    def test_non_binary_value(self, bad):
         ds = LongitudinalDataset(2)
         with pytest.raises(ValueError, match="0 or 1"):
-            ds.ingest_round(RoundUpdate(1, [0, 2]))
+            ds.ingest_round(RoundUpdate(1, np.array([0, bad])))
+        assert ds.t_max == 0
 
 
 class TestTrueSuffixHistogram:
@@ -156,6 +162,20 @@ class TestSyntheticStore:
         store = SyntheticStore(2)
         with pytest.raises(ValueError):
             store.append_column([1, 0, 1])
+
+    @pytest.mark.parametrize("bad", NON_BITS, ids=repr)
+    def test_rejects_non_binary_value(self, bad):
+        store = SyntheticStore(2)
+        with pytest.raises(ValueError, match="0 or 1"):
+            store.append_column(np.array([0, bad]))
+        assert store.t_max == 0
+
+    def test_accepts_bool_and_float_bits(self):
+        store = SyntheticStore(2)
+        store.append_column(np.array([True, False]))
+        store.append_column(np.array([0.0, 1.0]))
+        assert store.matrix().tolist() == [[1, 0], [0, 1]]
+        assert store.column(1).dtype == np.uint8
 
     def test_histograms_match_dataset_semantics(self):
         rng = np.random.default_rng(1)

@@ -243,6 +243,22 @@ class TestNoisyRunInvariants:
         assert meta["rho_spent"] == pytest.approx(synth.cfg.rho)
 
 
+class TestReleaseInvariant:
+    # overlap groups 0 and 1 hold bins {0, 4} and {1, 5}: the first tampering
+    # changes the total mass, the second moves mass between groups
+    @pytest.mark.parametrize("d0, d1", [(2, 0), (2, -2)], ids=["added", "moved"])
+    def test_group_size_mismatch_raises(self, d0, d1):
+        rng = np.random.default_rng(4)
+        ds = random_dataset(rng, 40, 5, p=0.5)
+        synth = WindowSynthesizer(WindowSynthConfig(T=5, k=3, noiseless=True), rng)
+        synth.init(ds)
+        synth._p[0] += d0
+        synth._p[1] += d1
+        with pytest.raises(RuntimeError, match="group sizes"):
+            synth.step(ds, 4)
+        assert synth.store.t_max == 3
+
+
 class TestPaddingExhaustion:
     def test_negative_count_aborts_with_location(self):
         # no padding and heavy noise on a tiny population: failure is certain
