@@ -8,16 +8,12 @@ from .dp import (
     BitSource,
     DiscreteGaussianSampler,
     ZCDPAccountant,
-    compose,
     cumulative_split_weights,
-    sample_discrete_gaussian,
     split_cumulative,
-    split_uniform,
     zcdp_to_approx_dp,
 )
 from .model import (
     LongitudinalDataset,
-    RoundUpdate,
     SuffixHistogram,
     SyntheticStore,
     all_suffixes,
@@ -30,7 +26,6 @@ from .queries import (
     MaxErrorReport,
     QuerySpec,
     UnsupportedWindowError,
-    cumulative_from_window_oracle,
     debias_fraction,
     debiased_answer,
     eval_query,
@@ -57,7 +52,6 @@ __all__ = [
     "MonotoneBank",
     "PaddingExhaustedError",
     "QuerySpec",
-    "RoundUpdate",
     "SuffixHistogram",
     "SyntheticStore",
     "TreeCounter",
@@ -67,21 +61,17 @@ __all__ = [
     "ZCDPAccountant",
     "accuracy_of",
     "all_suffixes",
-    "compose",
     "compute_error_bound",
     "compute_n_pad",
     "compute_relative_error_bound",
-    "cumulative_from_window_oracle",
     "cumulative_split_weights",
     "debias_fraction",
     "debiased_answer",
     "eval_query",
     "max_error_report",
     "parse_queries",
-    "sample_discrete_gaussian",
     "split_consistent",
     "split_cumulative",
-    "split_uniform",
     "suffix_index",
     "suffix_string",
     "tree_noise_sigma2",

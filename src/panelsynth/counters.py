@@ -61,8 +61,6 @@ class TreeCounter:
         self.t = 0
         self.alpha = [0] * self.registers
         self.alpha_noisy = [0] * self.registers
-        # pre-noise value of the register re-noised each round (one tree node)
-        self.node_log: list[int] = []
 
     def feed(self, z: int) -> int:
         """Absorb the next stream value and return the noisy prefix sum."""
@@ -79,7 +77,6 @@ class TreeCounter:
             self.alpha[j] = 0
             self.alpha_noisy[j] = 0
         self.alpha[i] = acc
-        self.node_log.append(acc)
         noise = 0 if self._sampler is None else self._sampler.sample(self._bits)
         self.alpha_noisy[i] = acc + noise
         total = 0

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,25 +21,17 @@ __all__ = ["CumulativeSynthConfig", "CumulativeSynthesizer", "accuracy_of"]
 _SCHEDULE_REL_TOL = 1e-9
 
 
-def _tree_counter_factory(horizon, rho, rng, noiseless):
-    return TreeCounter(horizon, rho, rng, noiseless=noiseless)
-
-
 @dataclass(frozen=True)
 class CumulativeSynthConfig:
     """Run parameters for the cumulative synthesizer.
 
     The schedule assigns budget per threshold b = 1..T and must sum to rho;
-    by default it is the error-equalizing tree-counter split. A custom
-    counter_factory(horizon, rho, rng, noiseless) may replace the tree
-    counter with any stream counter private for the differ-by-one-in-one-
-    entry neighboring relation.
+    by default it is the error-equalizing tree-counter split.
     """
 
     T: int
     rho: float = 0.0
     schedule: tuple[float, ...] | None = None
-    counter_factory: Callable | None = None
     noiseless: bool = False
 
     def __post_init__(self):
@@ -64,10 +55,6 @@ class CumulativeSynthConfig:
         if self.noiseless:
             return (0.0,) * self.T
         return tuple(split_cumulative(self.rho, self.T).tolist())
-
-    @property
-    def counter_kind(self) -> str:
-        return "custom" if self.counter_factory is not None else "tree"
 
 
 def accuracy_of(cfg: CumulativeSynthConfig, n: int, beta: float) -> tuple[float, float]:
@@ -111,9 +98,9 @@ class CumulativeSynthesizer:
             rng = np.random.default_rng(rng)
         streams = rng.spawn(cfg.T + 1)
         self.schedule = cfg.resolved_schedule()
-        factory = cfg.counter_factory or _tree_counter_factory
         self.counters = {
-            b: factory(cfg.T - b + 1, self.schedule[b - 1], streams[b - 1], cfg.noiseless)
+            b: TreeCounter(cfg.T - b + 1, self.schedule[b - 1], streams[b - 1],
+                           noiseless=cfg.noiseless)
             for b in range(1, cfg.T + 1)
         }
         self._select = streams[cfg.T]
@@ -125,7 +112,6 @@ class CumulativeSynthesizer:
         self._true_weights = np.zeros(self.n, dtype=np.int64)
         # raw (pre-monotonization) counter outputs, for diagnostics
         self.s_tilde = np.zeros((cfg.T + 1, cfg.T + 1), dtype=np.int64)
-        self.fed = np.zeros((cfg.T + 1, cfg.T + 1), dtype=bool)
         self.accountant = ZCDPAccountant()
         if not cfg.noiseless:
             for b in range(1, cfg.T + 1):
@@ -147,25 +133,25 @@ class CumulativeSynthesizer:
         true_col = dataset.column(t)
         # arrivals[w] = number of true rows at weight w before round t reporting 1 now
         arrivals = np.bincount(self._true_weights[true_col == 1], minlength=t)
-        # synthetic weights before round t lie in 0..t-1; the stable sort lists
-        # each weight pool's rows in ascending index order
+        # Synthetic weights before round t lie in 0..t-1, and each weight pool
+        # must hold the rows the bank released at that weight for round t-1.
+        # This is checked before any counter is fed, so a failure leaves the
+        # engine at round t-1; given it, the bank's clamp keeps every draw
+        # z_hat within 0..pool.size.
         sizes = np.bincount(self._synth_weights, minlength=t)
+        if not np.array_equal(sizes, -np.diff(self.bank.hat[: t + 1, t - 1])):
+            raise RuntimeError(f"round {t}: weight pool sizes differ from the released counts")
+        # the stable sort lists each weight pool's rows in ascending index order
         order = np.argsort(self._synth_weights, kind="stable")
         column = np.zeros(self.n, dtype=np.uint8)
         stop = 0
         for b in range(1, t + 1):
             s_tilde = self.counters[b].feed(int(arrivals[b - 1]))
             self.s_tilde[b, t] = s_tilde
-            self.fed[b, t] = True
             s_hat = self.bank.monotonize(b, t, s_tilde)
             z_hat = s_hat - self.bank.value(b, t - 1)
             start, stop = stop, stop + int(sizes[b - 1])
             pool = order[start:stop]
-            # the upper clamp makes z_hat <= pool.size; a violation is a bug
-            if not 0 <= z_hat <= pool.size:
-                raise RuntimeError(
-                    f"round {t}: threshold {b} needs {z_hat} new rows from a pool of {pool.size}"
-                )
             perm = self._select.permutation(pool.size)
             column[pool[perm[:z_hat]]] = 1
         self.store.append_column(column)
@@ -195,7 +181,7 @@ class CumulativeSynthesizer:
             "T": self.cfg.T,
             "rho": self.cfg.rho,
             "schedule": list(self.schedule),
-            "counter_kind": self.cfg.counter_kind,
+            "counter_kind": "tree",
             "noiseless": self.cfg.noiseless,
             "n": self.n,
             "rho_spent": self.accountant.total,

@@ -20,27 +20,14 @@ __all__ = [
     "DiscreteGaussianSampler",
     "ZCDPAccountant",
     "ceil_log2",
-    "compose",
     "cumulative_split_weights",
-    "sample_discrete_gaussian",
     "split_cumulative",
-    "split_uniform",
     "zcdp_to_approx_dp",
 ]
 
 
 # --------------------------------------------------------------------------
 # Budget arithmetic
-
-
-def compose(*rhos: float) -> float:
-    """Sequential composition of zCDP budgets: parameters add."""
-    total = 0.0
-    for rho in rhos:
-        if rho < 0:
-            raise ValueError("zCDP parameters must be non-negative")
-        total += rho
-    return total
 
 
 def zcdp_to_approx_dp(rho: float, delta: float) -> float:
@@ -50,15 +37,6 @@ def zcdp_to_approx_dp(rho: float, delta: float) -> float:
     if rho < 0:
         raise ValueError("rho must be non-negative")
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
-
-
-def split_uniform(rho: float, steps: int) -> np.ndarray:
-    """Split a budget into equal per-step shares summing to rho."""
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if rho < 0:
-        raise ValueError("rho must be non-negative")
-    return np.full(steps, rho / steps)
 
 
 def ceil_log2(x: int) -> int:
@@ -102,7 +80,11 @@ class ZCDPAccountant:
 
     @property
     def total(self) -> float:
-        return compose(*(rho for _, rho in self.entries)) if self.entries else 0.0
+        """Sequential composition: the charged parameters add."""
+        total = 0.0
+        for _, rho in self.entries:
+            total += rho
+        return total
 
     def to_approx_dp(self, delta: float) -> float:
         return zcdp_to_approx_dp(self.total, delta)
@@ -249,14 +231,3 @@ class DiscreteGaussianSampler:
             d = abs(y) * dent - num
             if bits.bernoulli_exp(d * d, gden):
                 return y
-
-
-def sample_discrete_gaussian(sigma2, rng) -> int:
-    """One draw from the integer Gaussian with variance parameter sigma2.
-
-    sigma2 may be an int, float, or Fraction and is interpreted exactly.
-    sigma2 = 0 returns 0 deterministically (noiseless test mode). rng is a
-    numpy Generator or an existing BitSource.
-    """
-    bits = rng if isinstance(rng, BitSource) else BitSource(rng)
-    return DiscreteGaussianSampler(sigma2).sample(bits)

@@ -8,7 +8,9 @@ the output directory:
   errors.csv    per repetition: status, worst-case error, theoretical bound
   failures.csv  padding-exhaustion events (repetition, round, bin)
 
-plus metadata.json carrying every public parameter needed for debiasing.
+plus metadata.json carrying every public parameter needed for debiasing, and
+synth_rep{r}.csv, the synthetic panel of each successful repetition
+r < save_synth.
 Outputs are byte-identical for the same manifest and seed, except for the
 wall_time_s field of the metadata.
 """
@@ -28,7 +30,7 @@ import numpy as np
 from . import __version__
 from .cumulative import CumulativeSynthConfig, CumulativeSynthesizer, accuracy_of
 from .model import LongitudinalDataset, true_cumulative_counts
-from .queries import QuerySpec, debiased_answer, eval_query
+from .queries import QuerySpec, debiased_answer, eval_query, max_error_report
 from .window import PaddingExhaustedError, WindowSynthConfig, WindowSynthesizer, compute_error_bound
 
 __all__ = [
@@ -263,15 +265,6 @@ def _materialize_dataset(manifest: RunManifest, data_seed: np.random.SeedSequenc
     return dataset, dropped, source
 
 
-def _window_max_error(truth, store, k: int, n_pad: int) -> int:
-    worst = 0
-    for t in range(k, store.t_max + 1):
-        p = store.suffix_histogram(k, t).counts
-        c = truth.suffix_histogram(k, t).counts
-        worst = max(worst, int(np.abs(p - (c + n_pad)).max()))
-    return worst
-
-
 def _cumulative_max_error(truth, synth: CumulativeSynthesizer) -> int:
     worst = 0
     for t in range(1, synth.t + 1):
@@ -292,15 +285,21 @@ def _run_one_rep(manifest: RunManifest, dataset, queries, n_pad, rep: int,
                 debiased_answer(store, q, n_pad, dataset.n, k=manifest.k, force=True)
                 for q in queries
             ]
-            max_error = _window_max_error(dataset, store, manifest.k, n_pad)
-            return RepOutcome(rep, True, answers, max_error, m=store.m)
-        synth = CumulativeSynthesizer(dataset.n, _synth_config(manifest), rng)
-        store = synth.run(dataset, through=manifest.T)
-        answers = [eval_query(store, q, force=True) for q in queries]
-        max_error = _cumulative_max_error(dataset, synth)
-        return RepOutcome(rep, True, answers, max_error, m=store.m)
+            max_error = max_error_report(
+                dataset, store, k=manifest.k, n_pad=n_pad, rho=manifest.rho, T=manifest.T,
+                beta=manifest.beta, noiseless=manifest.noiseless,
+            ).max_additive
+        else:
+            synth = CumulativeSynthesizer(dataset.n, _synth_config(manifest), rng)
+            store = synth.run(dataset, through=manifest.T)
+            answers = [eval_query(store, q, force=True) for q in queries]
+            max_error = _cumulative_max_error(dataset, synth)
     except PaddingExhaustedError as exc:
         return RepOutcome(rep, False, None, None, fail_t=exc.t, fail_bin=exc.suffix)
+    if rep < manifest.save_synth:
+        path = Path(manifest.out_dir) / f"synth_rep{rep}.csv"
+        np.savetxt(path, store.matrix(), fmt="%d", delimiter=",")
+    return RepOutcome(rep, True, answers, max_error, m=store.n)
 
 
 _POOL_STATE: dict = {}
@@ -397,19 +396,6 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
         outcomes = [
             _run_one_rep(manifest, dataset, queries, n_pad, rep, seed) for rep, seed in tasks
         ]
-
-    # synthetic datasets are re-generated (same per-rep seed) only when saved
-    for rep in range(min(manifest.save_synth, manifest.reps)):
-        if not outcomes[rep].ok:
-            continue
-        rng = np.random.default_rng(seeds[rep + 1])
-        if manifest.mode == "window":
-            store = WindowSynthesizer(_synth_config(manifest), rng).run(dataset, through=manifest.T)
-        else:
-            store = CumulativeSynthesizer(dataset.n, _synth_config(manifest), rng).run(
-                dataset, through=manifest.T
-            )
-        np.savetxt(out_dir / f"synth_rep{rep}.csv", store.matrix(), fmt="%d", delimiter=",")
 
     answer_rows = []
     for outcome in outcomes:

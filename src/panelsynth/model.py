@@ -1,4 +1,4 @@
-"""Longitudinal bit-stream datasets, suffix histograms, and synthetic stores.
+"""Append-only longitudinal bit panels and their suffix histograms.
 
 Rounds are 1-indexed throughout. Suffix keys are bit strings written oldest
 bit first and ordered lexicographically with '0' < '1', so a key's bin index
@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "LongitudinalDataset",
-    "RoundUpdate",
     "SuffixHistogram",
     "SyntheticStore",
     "all_suffixes",
@@ -55,80 +54,7 @@ def _bit_copy(col: np.ndarray, what: str) -> np.ndarray:
     return bits
 
 
-@dataclass
-class RoundUpdate:
-    """One round of reports: ``bits[i]`` is individual i's bit for round t."""
-
-    t: int
-    bits: np.ndarray
-
-
-class LongitudinalDataset:
-    """Bit reports for a fixed population of n individuals over rounds 1..t_max.
-
-    Rows grow in lockstep: ingesting round t appends exactly one bit to every
-    individual's sequence. The dataset is a build-then-freeze store; ingestion
-    is single-writer.
-    """
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("population size must be at least 1")
-        self.n = int(n)
-        self._cols: list[np.ndarray] = []
-
-    @classmethod
-    def from_matrix(cls, bits) -> "LongitudinalDataset":
-        """Build a dataset from an (n x T) array of 0/1 values."""
-        arr = np.asarray(bits)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-d array of bits (individuals x rounds)")
-        ds = cls(arr.shape[0])
-        for t in range(arr.shape[1]):
-            ds.ingest_round(RoundUpdate(t + 1, arr[:, t]))
-        return ds
-
-    @property
-    def t_max(self) -> int:
-        return len(self._cols)
-
-    @property
-    def population(self) -> int:
-        return self.n
-
-    def ingest_round(self, update: RoundUpdate) -> "LongitudinalDataset":
-        """Append one round of reports; rounds must arrive in order."""
-        if update.t != self.t_max + 1:
-            raise ValueError(
-                f"out-of-order round index: expected {self.t_max + 1}, got {update.t}"
-            )
-        col = np.asarray(update.bits)
-        if col.shape != (self.n,):
-            raise ValueError(
-                f"round {update.t}: expected {self.n} bits, got shape {col.shape}"
-            )
-        self._cols.append(_bit_copy(col, f"round {update.t}: values"))
-        return self
-
-    def column(self, t: int) -> np.ndarray:
-        if not 1 <= t <= self.t_max:
-            raise ValueError(f"round {t} not ingested (t_max={self.t_max})")
-        return self._cols[t - 1]
-
-    def matrix(self) -> np.ndarray:
-        """The (n x t_max) bit matrix."""
-        if not self._cols:
-            return np.zeros((self.n, 0), dtype=np.uint8)
-        return np.column_stack(self._cols)
-
-    def suffix_histogram(self, k: int, t: int) -> "SuffixHistogram":
-        return true_suffix_histogram(self, k, t)
-
-    def cumulative_counts(self, t: int) -> np.ndarray:
-        return true_cumulative_counts(self, t)
-
-
-@dataclass
+@dataclass(frozen=True)
 class SuffixHistogram:
     """Counts over all 2**k suffix bins, indexable by key string or bin code.
 
@@ -139,7 +65,7 @@ class SuffixHistogram:
     counts: np.ndarray
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
         if self.counts.shape != (1 << self.k,):
             raise ValueError(f"expected {1 << self.k} bins, got shape {self.counts.shape}")
 
@@ -154,96 +80,110 @@ class SuffixHistogram:
         return {suffix_string(c, self.k): int(v) for c, v in enumerate(self.counts)}
 
 
-def _suffix_codes(cols: list[np.ndarray], k: int, t: int) -> np.ndarray:
-    """Per-row bin codes of the window (rounds t-k+1 .. t), oldest bit first."""
-    codes = np.zeros(cols[0].shape[0], dtype=np.int64)
-    for j in range(t - k, t):
-        codes = (codes << 1) | cols[j]
-    return codes
+class LongitudinalDataset:
+    """Append-only bit panel: n rows that gain one bit per round, 1..t_max.
 
-
-def _window_histogram(cols: list[np.ndarray], k: int, t: int) -> np.ndarray:
-    return np.bincount(_suffix_codes(cols, k, t), minlength=1 << k).astype(np.int64)
-
-
-def _threshold_counts(cols: list[np.ndarray], t: int) -> np.ndarray:
-    """S[b] = number of rows with at least b ones among rounds 1..t, b = 0..t."""
-    weights = np.zeros(cols[0].shape[0], dtype=np.int64)
-    for j in range(t):
-        weights += cols[j]
-    exact = np.bincount(weights, minlength=t + 1)
-    return np.cumsum(exact[::-1])[::-1].astype(np.int64)
-
-
-def true_suffix_histogram(dataset: LongitudinalDataset, k: int, t: int) -> SuffixHistogram:
-    """Histogram of length-k suffixes at round t; counts sum to n."""
-    if k < 1:
-        raise ValueError("window length k must be at least 1")
-    if t < k:
-        raise ValueError(f"suffix histograms need t >= k (got t={t}, k={k})")
-    if t > dataset.t_max:
-        raise ValueError(f"round {t} not ingested (t_max={dataset.t_max})")
-    return SuffixHistogram(k, _window_histogram(dataset._cols, k, t))
-
-
-def true_cumulative_counts(dataset: LongitudinalDataset, t: int) -> np.ndarray:
-    """Vector S with S[b] = #rows of Hamming weight >= b up to round t, b = 0..t.
-
-    S[0] = n always; S is non-increasing in b. Thresholds above t are zero
-    and not materialized.
-    """
-    if not 1 <= t <= dataset.t_max:
-        raise ValueError(f"round {t} not ingested (t_max={dataset.t_max})")
-    return _threshold_counts(dataset._cols, t)
-
-
-class SyntheticStore:
-    """Append-only synthetic release: one bit column per published round.
-
-    Once a round's column is appended it never changes; all m synthetic
-    individuals persist for the whole run.
+    Real reports and synthetic releases are both panels (``SyntheticStore``
+    is this class). Appended columns are read-only and never change, so a
+    histogram over rounds up to t_max is final: each is computed once,
+    memoized, and returned read-only. Appending is single-writer.
     """
 
-    def __init__(self, m: int):
-        if m < 1:
-            raise ValueError("synthetic population size must be at least 1")
-        self.m = int(m)
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("population size must be at least 1")
+        self.n = int(n)
         self._cols: list[np.ndarray] = []
+        self._hists: dict[tuple[int, int], SuffixHistogram] = {}
+        self._cum: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def from_matrix(cls, bits) -> "LongitudinalDataset":
+        """Build a panel from an (n x T) array of 0/1 values."""
+        arr = np.asarray(bits)
+        if arr.ndim != 2:
+            raise ValueError("expected a 2-d array of bits (individuals x rounds)")
+        ds = cls(arr.shape[0])
+        for t in range(arr.shape[1]):
+            ds.append_column(arr[:, t])
+        return ds
 
     @property
     def t_max(self) -> int:
         return len(self._cols)
 
     @property
-    def population(self) -> int:
-        return self.m
+    def m(self) -> int:
+        """The row count n, under the name used for synthetic panels."""
+        return self.n
 
     def append_column(self, bits) -> None:
+        """Append round t_max + 1: one bit for every row."""
         col = np.asarray(bits)
-        if col.shape != (self.m,):
-            raise ValueError(f"expected {self.m} bits, got shape {col.shape}")
-        self._cols.append(_bit_copy(col, "synthetic bits"))
+        t = self.t_max + 1
+        if col.shape != (self.n,):
+            raise ValueError(f"round {t}: expected {self.n} bits, got shape {col.shape}")
+        bits = _bit_copy(col, f"round {t}: values")
+        bits.flags.writeable = False
+        self._cols.append(bits)
+
+    def _check_round(self, t: int) -> None:
+        if not 1 <= t <= self.t_max:
+            raise ValueError(f"round {t} not appended (t_max={self.t_max})")
 
     def column(self, t: int) -> np.ndarray:
-        if not 1 <= t <= self.t_max:
-            raise ValueError(f"round {t} not released (t_max={self.t_max})")
+        self._check_round(t)
         return self._cols[t - 1]
 
     def matrix(self) -> np.ndarray:
+        """The (n x t_max) bit matrix."""
         if not self._cols:
-            return np.zeros((self.m, 0), dtype=np.uint8)
+            return np.zeros((self.n, 0), dtype=np.uint8)
         return np.column_stack(self._cols)
 
     def suffix_histogram(self, k: int, t: int) -> SuffixHistogram:
-        if k < 1:
-            raise ValueError("window length k must be at least 1")
-        if t < k:
-            raise ValueError(f"suffix histograms need t >= k (got t={t}, k={k})")
-        if t > self.t_max:
-            raise ValueError(f"round {t} not released (t_max={self.t_max})")
-        return SuffixHistogram(k, _window_histogram(self._cols, k, t))
+        """Histogram of length-k suffixes at round t; counts sum to n."""
+        hist = self._hists.get((k, t))
+        if hist is None:
+            if k < 1:
+                raise ValueError("window length k must be at least 1")
+            if t < k:
+                raise ValueError(f"suffix histograms need t >= k (got t={t}, k={k})")
+            self._check_round(t)
+            # per-row bin code of rounds t-k+1 .. t, oldest bit first
+            codes = np.zeros(self.n, dtype=np.int64)
+            for j in range(t - k, t):
+                codes = (codes << 1) | self._cols[j]
+            hist = self._hists[k, t] = SuffixHistogram(k, np.bincount(codes, minlength=1 << k))
+            hist.counts.flags.writeable = False
+        return hist
 
     def cumulative_counts(self, t: int) -> np.ndarray:
-        if not 1 <= t <= self.t_max:
-            raise ValueError(f"round {t} not released (t_max={self.t_max})")
-        return _threshold_counts(self._cols, t)
+        """Vector S with S[b] = #rows of Hamming weight >= b up to round t, b = 0..t.
+
+        S[0] = n always; S is non-increasing in b. Thresholds above t are zero
+        and not materialized.
+        """
+        counts = self._cum.get(t)
+        if counts is None:
+            self._check_round(t)
+            weights = np.zeros(self.n, dtype=np.int64)
+            for j in range(t):
+                weights += self._cols[j]
+            exact = np.bincount(weights, minlength=t + 1)
+            counts = self._cum[t] = np.cumsum(exact[::-1])[::-1].astype(np.int64)
+            counts.flags.writeable = False
+        return counts
+
+
+SyntheticStore = LongitudinalDataset
+
+
+def true_suffix_histogram(dataset: LongitudinalDataset, k: int, t: int) -> SuffixHistogram:
+    """The dataset's memoized length-k suffix histogram at round t."""
+    return dataset.suffix_histogram(k, t)
+
+
+def true_cumulative_counts(dataset: LongitudinalDataset, t: int) -> np.ndarray:
+    """The dataset's memoized threshold counts at round t."""
+    return dataset.cumulative_counts(t)

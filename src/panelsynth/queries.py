@@ -18,17 +18,12 @@ __all__ = [
     "MaxErrorReport",
     "QuerySpec",
     "UnsupportedWindowError",
-    "cumulative_from_window_oracle",
     "debias_fraction",
     "debiased_answer",
     "eval_query",
     "max_error_report",
     "parse_queries",
 ]
-
-# enumeration over 2**t full-history bins; past this the oracle is refused
-_ORACLE_MAX_ROUNDS = 12
-
 
 class UnsupportedWindowError(ValueError):
     """The query looks past what the synthesizer was configured to preserve.
@@ -170,7 +165,7 @@ def _check_supported(q: QuerySpec, supported_k, force: bool) -> None:
 def eval_query(data, q: QuerySpec, supported_k: int | None = None, force: bool = False) -> float:
     """Evaluate a query by exact averaging over rows.
 
-    data is a LongitudinalDataset or SyntheticStore. supported_k, when given,
+    data is a real or synthetic LongitudinalDataset. supported_k, when given,
     refuses window/linear queries wider than the synthesizer's window unless
     force is set.
     """
@@ -179,18 +174,18 @@ def eval_query(data, q: QuerySpec, supported_k: int | None = None, force: bool =
     _check_supported(q, supported_k, force)
     if q.kind == "window":
         hist = data.suffix_histogram(len(q.s), q.t)
-        return hist[q.s] / data.population
+        return hist[q.s] / data.n
     if q.kind == "cumulative":
         if q.b == 0:
             return 1.0
         if q.b > q.t:
             return 0.0
-        return int(data.cumulative_counts(q.t)[q.b]) / data.population
+        return int(data.cumulative_counts(q.t)[q.b]) / data.n
     hist = data.suffix_histogram(q.window_length, q.t)
     numerator = 0.0
     for s, w in q.weights:
         numerator += w * hist[s]
-    return numerator / data.population
+    return numerator / data.n
 
 
 def debias_fraction(raw_count: int, n_pad: int, n: int) -> float:
@@ -234,29 +229,6 @@ def debiased_answer(
     return numerator / n
 
 
-def cumulative_from_window_oracle(data, b: int, t: int) -> float:
-    """Cumulative answer recovered by summing full-history window bins.
-
-    With the window spanning the entire history, the weight >= b rows are
-    exactly the rows falling in bins whose key has at least b ones. Exact on
-    raw data; used as a cross-check oracle. Refuses t beyond 12 (2**t bins).
-    """
-    if t > _ORACLE_MAX_ROUNDS:
-        raise ValueError(f"oracle enumerates 2**t bins and is capped at t <= {_ORACLE_MAX_ROUNDS}")
-    if t > data.t_max:
-        raise ValueError(f"round {t} exceeds available rounds ({data.t_max})")
-    if b == 0:
-        return 1.0
-    if b > t:
-        return 0.0
-    hist = data.suffix_histogram(t, t)
-    total = 0
-    for code in range(1 << t):
-        if code.bit_count() >= b:
-            total += int(hist.counts[code])
-    return total / data.population
-
-
 @dataclass
 class MaxErrorReport:
     """Observed worst-case deviations of a released store from padded truth."""
@@ -285,17 +257,17 @@ def max_error_report(truth, store, *, k, n_pad, rho, T, beta=0.05, noiseless=Fal
         deviation = int(np.abs(p - (c + n_pad)).max())
         per_round[t] = deviation
         max_additive = max(max_additive, deviation)
-        max_c_frac = max(max_c_frac, float(c.max()) / truth.population)
+        max_c_frac = max(max_c_frac, float(c.max()) / truth.n)
     if noiseless:
         additive_bound = 0.0
         relative_bound = 0.0
     else:
         additive_bound = compute_error_bound(T, k, rho, beta)
-        relative_bound = compute_relative_error_bound(T, k, rho, beta, truth.population, max_c_frac)
+        relative_bound = compute_relative_error_bound(T, k, rho, beta, truth.n, max_c_frac)
     return MaxErrorReport(
         per_round_additive=per_round,
         max_additive=max_additive,
-        max_debiased_relative=max_additive / truth.population,
+        max_debiased_relative=max_additive / truth.n,
         additive_bound=additive_bound,
         relative_bound=relative_bound,
         beta=beta,

@@ -12,6 +12,34 @@ from panelsynth.model import LongitudinalDataset
 DG_BASE_SEED = 20240625
 
 
+# enumeration over 2**t full-history bins; past this the oracle is refused
+ORACLE_MAX_ROUNDS = 12
+
+
+def cumulative_from_window_oracle(data, b: int, t: int) -> float:
+    """Cumulative answer recovered by summing full-history window bins.
+
+    With the window spanning the entire history, the weight >= b rows are
+    exactly the rows falling in bins whose key has at least b ones. Exact on
+    raw data; a cross-check oracle for threshold counts. Refuses t beyond
+    ORACLE_MAX_ROUNDS.
+    """
+    if t > ORACLE_MAX_ROUNDS:
+        raise ValueError(f"oracle enumerates 2**t bins and is capped at t <= {ORACLE_MAX_ROUNDS}")
+    if t > data.t_max:
+        raise ValueError(f"round {t} exceeds available rounds ({data.t_max})")
+    if b == 0:
+        return 1.0
+    if b > t:
+        return 0.0
+    hist = data.suffix_histogram(t, t)
+    total = 0
+    for code in range(1 << t):
+        if code.bit_count() >= b:
+            total += int(hist.counts[code])
+    return total / data.n
+
+
 def random_dataset(rng, n, T, p=None) -> LongitudinalDataset:
     if p is None:
         p = rng.uniform(0.1, 0.9)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gof_pvalue, random_dataset
+from conftest import cumulative_from_window_oracle, gof_pvalue, random_dataset
 from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
 from panelsynth.harness import RunManifest, run_experiment
 from panelsynth.model import (
@@ -19,7 +19,7 @@ from panelsynth.model import (
     true_cumulative_counts,
     true_suffix_histogram,
 )
-from panelsynth.queries import QuerySpec, cumulative_from_window_oracle, eval_query, parse_queries
+from panelsynth.queries import QuerySpec, eval_query, parse_queries
 from panelsynth.window import PaddingExhaustedError, WindowSynthConfig, WindowSynthesizer
 
 

@@ -9,6 +9,16 @@ from panelsynth.counters import MonotoneBank, TreeCounter, tree_noise_sigma2
 from panelsynth.dp import ceil_log2
 
 
+def _renoised_registers(counter: TreeCounter, stream) -> list[int]:
+    """Feed a noiseless counter; per round, the one register that is re-noised."""
+    out = []
+    for z in stream:
+        counter.feed(int(z))
+        t = counter.t
+        out.append(counter.alpha[(t & -t).bit_length() - 1])
+    return out
+
+
 class TestTreeNoiseScale:
     def test_reference_value(self):
         assert float(tree_noise_sigma2(8, 0.5)) == pytest.approx(math.log(8), rel=1e-12)
@@ -45,12 +55,10 @@ class TestTreeCounterExact:
 
     def test_t4_folds_into_single_register(self):
         counter = TreeCounter(8, noiseless=True)
-        for z in (1, 2, 3, 4):
-            counter.feed(z)
+        assert _renoised_registers(counter, (1, 2, 3, 4)) == [1, 3, 3, 10]
         # t = 4 = 0b100: registers 0 and 1 were folded and zeroed
         assert counter.alpha[2] == 10
         assert counter.alpha[0] == 0 and counter.alpha[1] == 0
-        assert counter.node_log == [1, 3, 3, 10]
 
     def test_feed_past_horizon(self):
         counter = TreeCounter(2, noiseless=True)
@@ -79,12 +87,9 @@ class TestTreeCounterNeighborSensitivity:
         for t0 in range(T):
             neighbor = stream.copy()
             neighbor[t0] += 1
-            a = TreeCounter(T, noiseless=True)
-            b = TreeCounter(T, noiseless=True)
-            for z1, z2 in zip(stream, neighbor):
-                a.feed(int(z1))
-                b.feed(int(z2))
-            differing = sum(x != y for x, y in zip(a.node_log, b.node_log))
+            a = _renoised_registers(TreeCounter(T, noiseless=True), stream)
+            b = _renoised_registers(TreeCounter(T, noiseless=True), neighbor)
+            differing = sum(x != y for x, y in zip(a, b))
             assert differing <= ceil_log2(T) + 1
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
-from panelsynth.counters import TreeCounter
 from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer, accuracy_of
 from panelsynth.dp import cumulative_split_weights
 from panelsynth.model import LongitudinalDataset, true_cumulative_counts
@@ -182,19 +181,10 @@ class TestReleaseInvariant:
         synth._synth_weights[:] = 1
         with pytest.raises(RuntimeError, match="pool"):
             synth.step(ds, 2)
+        # refused before any counter was fed: the engine is still at round 1
         assert synth.store.t_max == 1
+        assert synth.t == 1
+        assert synth.counters[1].t == 1
+        with pytest.raises(RuntimeError, match="not been set"):
+            synth.bank.value(1, 2)
 
-
-class TestCounterPlugin:
-    def test_custom_counter_factory_is_used(self):
-        calls = []
-
-        def factory(horizon, rho, rng, noiseless):
-            calls.append((horizon, rho))
-            return TreeCounter(horizon, rho, rng, noiseless=noiseless)
-
-        cfg = CumulativeSynthConfig(T=4, rho=0.4, counter_factory=factory)
-        assert cfg.counter_kind == "custom"
-        CumulativeSynthesizer(5, cfg, np.random.default_rng(0))
-        assert len(calls) == 4
-        assert [h for h, _ in calls] == [4, 3, 2, 1]

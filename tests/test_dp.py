@@ -12,29 +12,34 @@ from panelsynth.dp import (
     DiscreteGaussianSampler,
     ZCDPAccountant,
     ceil_log2,
-    compose,
     cumulative_split_weights,
-    sample_discrete_gaussian,
     split_cumulative,
-    split_uniform,
     zcdp_to_approx_dp,
 )
+from panelsynth.window import WindowSynthConfig
+
+
+def _ledger(*rhos: float) -> ZCDPAccountant:
+    ledger = ZCDPAccountant()
+    for i, rho in enumerate(rhos):
+        ledger.charge(f"step {i}", rho)
+    return ledger
 
 
 class TestCompose:
     def test_adds(self):
-        assert compose(0.003, 0.002) == pytest.approx(0.005)
+        assert _ledger(0.003, 0.002).total == pytest.approx(0.005)
 
     def test_identity(self):
-        assert compose(0.0, 0.7) == 0.7
+        assert _ledger(0.0, 0.7).total == 0.7
 
     def test_fold_of_equal_shares(self):
         rho = 0.005
-        assert abs(compose(*([rho / 10] * 10)) - rho) < 1e-12
+        assert abs(_ledger(*([rho / 10] * 10)).total - rho) < 1e-12
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            compose(0.1, -0.1)
+            _ledger(0.1, -0.1)
 
 
 class TestZcdpConversion:
@@ -55,21 +60,23 @@ class TestZcdpConversion:
 
 
 class TestSchedules:
+    # the window engine splits rho uniformly over its T - k + 1 updates
     def test_uniform_shares(self):
-        sched = split_uniform(0.005, 10)
-        assert sched.shape == (10,)
-        assert np.allclose(sched, 0.0005)
+        cfg = WindowSynthConfig(T=12, k=3, rho=0.005)
+        assert cfg.update_steps == 10
+        assert cfg.per_step_rho() == pytest.approx(0.0005)
 
     def test_uniform_single_step(self):
-        assert split_uniform(0.7, 1).tolist() == [0.7]
+        assert WindowSynthConfig(T=4, k=4, rho=0.7).per_step_rho() == 0.7
 
     def test_uniform_sum(self):
-        sched = split_uniform(0.007, 12)
-        assert abs(sched.sum() - 0.007) <= 1e-9 * 0.007
+        cfg = WindowSynthConfig(T=14, k=3, rho=0.007)
+        total = _ledger(*[cfg.per_step_rho()] * cfg.update_steps).total
+        assert abs(total - 0.007) <= 1e-9 * 0.007
 
     def test_uniform_rejects_zero_steps(self):
         with pytest.raises(ValueError):
-            split_uniform(0.1, 0)
+            WindowSynthConfig(T=3, k=4, rho=0.1)
 
     def test_cumulative_t1(self):
         assert split_cumulative(0.4, 1).tolist() == [0.4]
@@ -125,8 +132,8 @@ class TestBitSource:
 
 class TestDiscreteGaussian:
     def test_zero_scale_is_deterministic_zero(self):
-        rng = np.random.default_rng(4)
-        assert all(sample_discrete_gaussian(0, rng) == 0 for _ in range(10))
+        bits = BitSource(np.random.default_rng(4))
+        assert all(DiscreteGaussianSampler(0).sample(bits) == 0 for _ in range(10))
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -139,7 +146,8 @@ class TestDiscreteGaussian:
         assert all(isinstance(x, int) for x in xs)
 
     def test_deterministic_for_seed(self):
-        xs = [sample_discrete_gaussian(4, BitSource(np.random.default_rng(9))) for _ in range(3)]
+        sampler = DiscreteGaussianSampler(4)
+        xs = [sampler.sample(BitSource(np.random.default_rng(9))) for _ in range(3)]
         assert xs[0] == xs[1] == xs[2]
 
     def test_moments_smoke(self):

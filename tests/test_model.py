@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from panelsynth.model import (
     LongitudinalDataset,
-    RoundUpdate,
     SuffixHistogram,
     SyntheticStore,
     all_suffixes,
@@ -43,28 +42,21 @@ class TestSuffixKeys:
 class TestIngest:
     def test_first_round(self):
         ds = LongitudinalDataset(3)
-        ds.ingest_round(RoundUpdate(1, [1, 0, 1]))
+        ds.append_column([1, 0, 1])
         assert ds.t_max == 1
         assert ds.matrix().tolist() == [[1], [0], [1]]
 
-    def test_out_of_order_round(self):
-        ds = LongitudinalDataset(3)
-        ds.ingest_round(RoundUpdate(1, [0, 0, 0]))
-        ds.ingest_round(RoundUpdate(2, [1, 1, 1]))
-        with pytest.raises(ValueError, match="out-of-order"):
-            ds.ingest_round(RoundUpdate(4, [0, 0, 0]))
-
     def test_length_mismatch(self):
         ds = LongitudinalDataset(3)
-        with pytest.raises(ValueError, match="expected 3 bits"):
-            ds.ingest_round(RoundUpdate(1, [0, 1]))
+        ds.append_column([0, 0, 0])
+        with pytest.raises(ValueError, match="round 2: expected 3 bits"):
+            ds.append_column([0, 1])
+        assert ds.t_max == 1
 
     @pytest.mark.parametrize("bad", NON_BITS, ids=repr)
     def test_non_binary_value(self, bad):
-        ds = LongitudinalDataset(2)
-        with pytest.raises(ValueError, match="0 or 1"):
-            ds.ingest_round(RoundUpdate(1, np.array([0, bad])))
-        assert ds.t_max == 0
+        with pytest.raises(ValueError, match="round 2: values must be 0 or 1"):
+            LongitudinalDataset.from_matrix(np.array([[0, 0], [1, bad]]))
 
 
 class TestTrueSuffixHistogram:
@@ -191,3 +183,43 @@ class TestSyntheticStore:
             ).all()
         for t in range(1, 7):
             assert (store.cumulative_counts(t) == true_cumulative_counts(ds, t)).all()
+
+
+class TestOnePanelType:
+    def test_store_is_the_dataset_type(self):
+        assert SyntheticStore is LongitudinalDataset
+        assert SyntheticStore(4).m == 4
+
+    def test_histograms_are_computed_once_and_read_only(self):
+        ds = LongitudinalDataset.from_matrix([[1, 1, 0], [0, 1, 1], [0, 0, 0]])
+        hist = ds.suffix_histogram(2, 3)
+        assert true_suffix_histogram(ds, 2, 3) is hist
+        counts = ds.cumulative_counts(3)
+        assert true_cumulative_counts(ds, 3) is counts
+        for arr in (hist.counts, counts, ds.column(1)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 9
+        with pytest.raises(AttributeError):
+            hist.counts = np.zeros(4)
+
+    def test_memoized_answers_stay_exact_after_appends(self):
+        rng = np.random.default_rng(5)
+        bits = (rng.random((20, 6)) < 0.5).astype(np.uint8)
+        grown = LongitudinalDataset(20)
+        early = []
+        for t in range(6):
+            grown.append_column(bits[:, t])
+            early.append((grown.suffix_histogram(1, t + 1), grown.cumulative_counts(t + 1)))
+        fresh = LongitudinalDataset.from_matrix(bits)
+        for t, (hist, counts) in enumerate(early, start=1):
+            assert (hist.counts == fresh.suffix_histogram(1, t).counts).all()
+            assert (counts == fresh.cumulative_counts(t)).all()
+
+    def test_rounds_past_t_max_are_refused(self):
+        ds = LongitudinalDataset.from_matrix(np.zeros((2, 3), dtype=int))
+        with pytest.raises(ValueError, match="not appended"):
+            ds.suffix_histogram(2, 4)
+        with pytest.raises(ValueError, match="not appended"):
+            ds.cumulative_counts(4)
+        ds.append_column([1, 1])
+        assert ds.suffix_histogram(1, 4)["1"] == 2

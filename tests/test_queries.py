@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import cumulative_from_window_oracle, random_dataset
 from panelsynth.model import LongitudinalDataset, SyntheticStore
 from panelsynth.queries import (
     QuerySpec,
     UnsupportedWindowError,
-    cumulative_from_window_oracle,
     debias_fraction,
     debiased_answer,
     eval_query,
