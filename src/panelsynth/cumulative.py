@@ -14,7 +14,7 @@ import numpy as np
 
 from .counters import MonotoneBank, TreeCounter
 from .dp import ZCDPAccountant, cumulative_split_weights, split_cumulative
-from .model import LongitudinalDataset, SyntheticStore
+from .model import LongitudinalDataset, SyntheticStore, mark_random_subset
 
 __all__ = ["CumulativeSynthConfig", "CumulativeSynthesizer", "accuracy_of"]
 
@@ -85,8 +85,9 @@ class CumulativeSynthesizer:
 
     Pool order: each round groups the rows once by synthetic weight. Within a
     pool the rows are taken in ascending row index, and the pool's
-    ``permutation`` draw indexes into that order, so a seed fixes every
-    published column.
+    :func:`~panelsynth.model.mark_random_subset` draw indexes into that
+    order, so a seed fixes every published column. The draw costs O(pool)
+    for pools of at most 10,000 rows and O(min(z_hat, pool - z_hat)) above.
     """
 
     def __init__(self, n: int, cfg: CumulativeSynthConfig, rng=None):
@@ -107,9 +108,9 @@ class CumulativeSynthesizer:
         self.bank = MonotoneBank(cfg.T, m=self.n)
         self.store = SyntheticStore(self.n)
         # smallest unsigned dtype holding T: weights of at most 16 bits take
-        # numpy's radix argsort
+        # numpy's radix argsort, and the per-round `+= column` adds bytes
         self._synth_weights = np.zeros(self.n, dtype=np.min_scalar_type(cfg.T))
-        self._true_weights = np.zeros(self.n, dtype=np.int64)
+        self._true_weights = np.zeros(self.n, dtype=self._synth_weights.dtype)
         # raw (pre-monotonization) counter outputs, for diagnostics
         self.s_tilde = np.zeros((cfg.T + 1, cfg.T + 1), dtype=np.int64)
         self.accountant = ZCDPAccountant()
@@ -151,9 +152,7 @@ class CumulativeSynthesizer:
             s_hat = self.bank.monotonize(b, t, s_tilde)
             z_hat = s_hat - self.bank.value(b, t - 1)
             start, stop = stop, stop + int(sizes[b - 1])
-            pool = order[start:stop]
-            perm = self._select.permutation(pool.size)
-            column[pool[perm[:z_hat]]] = 1
+            mark_random_subset(column, order[start:stop], z_hat, self._select)
         self.store.append_column(column)
         self._synth_weights += column
         self._true_weights += true_col

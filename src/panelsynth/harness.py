@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .cumulative import CumulativeSynthConfig, CumulativeSynthesizer, accuracy_of
 from .model import LongitudinalDataset, true_cumulative_counts
-from .queries import QuerySpec, debiased_answer, eval_query, max_error_report
+from .queries import QuerySpec, debiased_answer, eval_query, is_supported, max_error_report
 from .window import PaddingExhaustedError, WindowSynthConfig, WindowSynthesizer, compute_error_bound
 
 __all__ = [
@@ -357,7 +357,8 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
     for q in queries:
         if q.t > manifest.T:
             raise InputError(f"query {q.query_id} at t={q.t} is beyond the horizon T={manifest.T}")
-    supported = [_is_supported(manifest, q) for q in queries]
+    supported_k = manifest.k if manifest.mode == "window" else None
+    supported = [is_supported(q, supported_k) for q in queries]
     unsupported = [q.query_id for q, s in zip(queries, supported) if not s]
     if unsupported and not manifest.force_window:
         raise InputError(
@@ -508,10 +509,3 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
         summary_rows=summary_rows,
         unsupported=sorted(set(unsupported)),
     )
-
-
-def _is_supported(manifest: RunManifest, q: QuerySpec) -> bool:
-    if manifest.mode == "window":
-        length = q.window_length
-        return length is not None and length <= manifest.k
-    return q.kind == "cumulative"

@@ -16,6 +16,7 @@ __all__ = [
     "SuffixHistogram",
     "SyntheticStore",
     "all_suffixes",
+    "mark_random_subset",
     "suffix_index",
     "suffix_string",
     "true_cumulative_counts",
@@ -177,6 +178,35 @@ class LongitudinalDataset:
 
 
 SyntheticStore = LongitudinalDataset
+
+# Pools up to numpy's own ``Generator.choice`` cutoff keep the whole-pool
+# permutation: below it ``choice`` runs a hash-set Floyd's algorithm that is
+# slower than a permutation of the pool.
+_PERMUTATION_MAX_POOL = 10_000
+
+
+def mark_random_subset(column: np.ndarray, pool: np.ndarray, count: int, rng) -> None:
+    """Set ``column`` to 1 on a uniformly random ``count``-subset of the rows ``pool``.
+
+    ``column`` must be 0 on ``pool``; no entry outside it changes. A pool of at
+    most 10,000 rows takes the first ``count`` entries of
+    ``rng.permutation(pool.size)``, an O(size) draw. A larger pool draws only
+    the smaller side, ``min(count, size - count)`` rows, with
+    ``rng.choice(..., replace=False, shuffle=False)``; when that side is the
+    complement, the whole pool is set and the drawn rows cleared. Both draws
+    index into ``pool`` in the order given and pick every subset equally
+    likely.
+    """
+    size = pool.size
+    if not 0 <= count <= size:
+        raise ValueError(f"cannot mark {count} rows of a pool of {size}")
+    if size <= _PERMUTATION_MAX_POOL:
+        column[pool[rng.permutation(size)[:count]]] = 1
+    elif 2 * count <= size:
+        column[pool[rng.choice(size, count, replace=False, shuffle=False)]] = 1
+    else:
+        column[pool] = 1
+        column[pool[rng.choice(size, size - count, replace=False, shuffle=False)]] = 0
 
 
 def true_suffix_histogram(dataset: LongitudinalDataset, k: int, t: int) -> SuffixHistogram:

@@ -21,6 +21,7 @@ __all__ = [
     "debias_fraction",
     "debiased_answer",
     "eval_query",
+    "is_supported",
     "max_error_report",
     "parse_queries",
 ]
@@ -152,14 +153,28 @@ def parse_queries(spec) -> list[QuerySpec]:
     return queries
 
 
+def is_supported(q: QuerySpec, k: int | None) -> bool:
+    """Whether a synthesizer preserves q, so its answer carries a guarantee.
+
+    A window synthesizer of length k preserves window and linear queries at
+    most k rounds wide; the cumulative synthesizer (k=None) preserves
+    cumulative queries only.
+    """
+    if k is None:
+        return q.kind == "cumulative"
+    length = q.window_length
+    return length is not None and length <= k
+
+
 def _check_supported(q: QuerySpec, supported_k, force: bool) -> None:
     length = q.window_length
-    if length is not None and supported_k is not None and length > supported_k and not force:
-        raise UnsupportedWindowError(
-            f"query {q.query_id} looks at a window of {length} rounds but the "
-            f"synthesizer preserves windows up to k={supported_k}; pass force=True "
-            "to evaluate anyway (the answer carries no accuracy guarantee)"
-        )
+    if length is None or supported_k is None or force or is_supported(q, supported_k):
+        return
+    raise UnsupportedWindowError(
+        f"query {q.query_id} looks at a window of {length} rounds but the "
+        f"synthesizer preserves windows up to k={supported_k}; pass force=True "
+        "to evaluate anyway (the answer carries no accuracy guarantee)"
+    )
 
 
 def eval_query(data, q: QuerySpec, supported_k: int | None = None, force: bool = False) -> float:

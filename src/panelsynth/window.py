@@ -21,6 +21,7 @@ from .model import (
     LongitudinalDataset,
     SuffixHistogram,
     SyntheticStore,
+    mark_random_subset,
     suffix_string,
     true_suffix_histogram,
 )
@@ -156,13 +157,14 @@ class WindowSynthesizer:
 
     All noise and index selection comes from the generator passed at
     construction, so a run is reproducible from its seed. Per-bin noise is
-    drawn in lexicographic bin order; rounding bits and index permutations
+    drawn in lexicographic bin order; rounding bits and the row-subset draws
     follow in overlap-group order.
 
     Pool order: each round groups the rows once by their overlap code. Within
     a group the rows are taken in ascending row index, and the group's
-    ``permutation`` draw indexes into that order, so a seed fixes every
-    published column.
+    :func:`~panelsynth.model.mark_random_subset` draw indexes into that
+    order, so a seed fixes every published column. The draw costs O(group)
+    for groups of at most 10,000 rows and O(min(ones, group - ones)) above.
     """
 
     def __init__(self, cfg: WindowSynthConfig, rng=None):
@@ -285,9 +287,7 @@ class WindowSynthesizer:
         column = np.zeros(self.m, dtype=np.uint8)
         for z in range(half):
             pool = order[starts[z] : stops[z]]
-            ones = int(p_new[2 * z + 1])
-            perm = self._select.permutation(pool.size)
-            column[pool[perm[:ones]]] = 1
+            mark_random_subset(column, pool, int(p_new[2 * z + 1]), self._select)
         self._state <<= 1
         self._state |= column
         self._state &= half - 1

@@ -1,9 +1,12 @@
 """Pinned output digests for seeded runs of both engines.
 
 Each digest is the SHA-256 of every published column, in round order. The
-selection RNG's permutation draws index into each group's rows taken in
-ascending row index, so any regrouping of rows inside ``step`` must keep
-these digests exactly.
+selection RNG's ``mark_random_subset`` draws index into each group's rows
+taken in ascending row index, so any regrouping of rows inside ``step`` must
+keep these digests exactly. Groups of at most 10,000 rows draw a whole-pool
+permutation, O(group); larger groups draw only the smaller of the marked
+rows and their complement, O(picked). The large-pool cases assert that they
+reach both sides of that draw.
 """
 
 import hashlib
@@ -13,12 +16,37 @@ import pytest
 
 from conftest import random_dataset
 from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
+from panelsynth.harness import simulate_dataset
 from panelsynth.model import LongitudinalDataset, SyntheticStore
 from panelsynth.window import PaddingExhaustedError, WindowSynthConfig, WindowSynthesizer
 
 
 def _panel(seed: int, n: int, T: int) -> LongitudinalDataset:
     return random_dataset(np.random.default_rng(seed), n, T, p=0.3)
+
+
+def _sticky_panel(seed: int, n: int, T: int) -> LongitudinalDataset:
+    # half the rows report 1 and nine in ten keep their bit each round, so
+    # pools of about n/2 rows get about 10% or about 90% new ones
+    rng = np.random.default_rng(seed)
+    return simulate_dataset("markov", n, T, rng, p0=0.5, stay=0.9, enter=0.1)
+
+
+def _large_pool_sides(store: SyntheticStore, first: int, pool_key) -> set[str]:
+    """Which side of the large-pool draw each pool over 10,000 rows took.
+
+    ``pool_key(t)`` gives each row's pool at round t; the marked rows are the
+    pool's ones in column t.
+    """
+    sides = set()
+    for t in range(first, store.t_max + 1):
+        keys, column = pool_key(t), store.column(t)
+        for key in np.unique(keys):
+            in_pool = keys == key
+            size, ones = int(in_pool.sum()), int(column[in_pool].sum())
+            if size > 10_000:
+                sides.add("direct" if 2 * ones <= size else "complement")
+    return sides
 
 
 def _digest(store: SyntheticStore) -> str:
@@ -45,6 +73,17 @@ def test_window_columns_are_pinned(k, n, T, rho, seed, m, digest):
     store = synth.run(_panel(seed, n, T))
     assert (store.m, store.t_max) == (m, T)
     assert _digest(store) == digest
+
+
+def test_window_large_pools_are_pinned():
+    synth = WindowSynthesizer(WindowSynthConfig(T=8, k=2, rho=1.0), np.random.default_rng(130))
+    store = synth.run(_sticky_panel(130, 30_000, 8))
+    assert (store.m, store.t_max) == (30034, 8)
+    # k=2: a row's overlap group at round t is its bit at round t-1
+    assert _large_pool_sides(store, 3, lambda t: store.column(t - 1)) == {"direct", "complement"}
+    assert _digest(store) == (
+        "5d0d52cd6b1a648e3f909016b97cd96f48fe82cbb8531c9847b7fd4853ca128c"
+    )
 
 
 def test_window_padding_failure_is_pinned():
@@ -76,3 +115,17 @@ def test_cumulative_columns_are_pinned(T, n, rho, seed, digest):
     store = synth.run(_panel(seed, n, T))
     assert store.t_max == T
     assert _digest(store) == digest
+
+
+def test_cumulative_large_pools_are_pinned():
+    cfg = CumulativeSynthConfig(T=8, rho=1.0)
+    synth = CumulativeSynthesizer(30_000, cfg, np.random.default_rng(131))
+    store = synth.run(_sticky_panel(131, 30_000, 8))
+    assert store.t_max == 8
+    matrix = store.matrix().astype(np.int64)
+    # a row's weight pool at round t is its synthetic weight over rounds 1..t-1
+    sides = _large_pool_sides(store, 1, lambda t: matrix[:, : t - 1].sum(axis=1))
+    assert sides == {"direct", "complement"}
+    assert _digest(store) == (
+        "fbd76fdcd2aac2295fac1e2205aad55db5af4b428926a11175223918d1825a43"
+    )

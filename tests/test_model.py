@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from panelsynth.model import (
     SuffixHistogram,
     SyntheticStore,
     all_suffixes,
+    mark_random_subset,
     suffix_index,
     suffix_string,
     true_cumulative_counts,
@@ -223,3 +226,64 @@ class TestOnePanelType:
             ds.cumulative_counts(4)
         ds.append_column([1, 1])
         assert ds.suffix_histogram(1, 4)["1"] == 2
+
+
+class TestMarkRandomSubset:
+    """Pools up to 10,000 rows keep the permutation draw; larger ones draw the smaller side."""
+
+    @pytest.mark.parametrize("size", [1, 777, 10_000, 10_001, 25_000])
+    @pytest.mark.parametrize("frac", [0.0, 0.3, 0.7, 1.0])
+    def test_marks_exactly_count_rows_inside_pool(self, size, frac):
+        rng = np.random.default_rng(size)
+        n = size + 500
+        pool = rng.permutation(n)[:size]
+        outside = np.setdiff1d(np.arange(n), pool)
+        column = np.zeros(n, dtype=np.uint8)
+        column[outside] = rng.integers(0, 2, outside.size)
+        before = column.copy()
+        count = round(frac * size)
+        mark_random_subset(column, pool, count, np.random.default_rng(1))
+        assert int(column[pool].sum()) == count
+        assert column[pool].max(initial=0) <= 1
+        np.testing.assert_array_equal(column[outside], before[outside])
+
+    @pytest.mark.parametrize(
+        "size, count", [(1, 0), (1, 1), (500, 123), (10_000, 0), (10_000, 6_000), (10_000, 10_000)]
+    )
+    def test_small_pool_is_the_permutation_draw(self, size, count):
+        pool = np.random.default_rng(5).permutation(size + 100)[:size]
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        column = np.zeros(size + 100, dtype=np.uint8)
+        mark_random_subset(column, pool, count, rng)
+        expected = np.zeros_like(column)
+        expected[pool[ref.permutation(size)[:count]]] = 1
+        np.testing.assert_array_equal(column, expected)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("size", [100, 20_000])
+    def test_rejects_count_outside_pool(self, size):
+        column = np.zeros(size, dtype=np.uint8)
+        for count in (-1, size + 1):
+            with pytest.raises(ValueError, match="cannot mark"):
+                mark_random_subset(column, np.arange(size), count, np.random.default_rng(0))
+        assert not column.any()
+
+    @pytest.mark.parametrize("count", [3_000, 7_000], ids=["direct", "complement"])
+    def test_large_pool_inclusion_is_uniform(self, count):
+        size, draws = 10_001, 3_000
+        rng = np.random.default_rng(count)
+        pool = rng.permutation(size)
+        hits = np.zeros(size, dtype=np.int64)
+        for _ in range(draws):
+            column = np.zeros(size, dtype=np.uint8)
+            mark_random_subset(column, pool, count, rng)
+            # the sampled count is never off
+            assert int(column.sum()) == count
+            hits += column
+        p = count / size
+        z = (hits - draws * p) / math.sqrt(draws * p * (1 - p))
+        # per-row inclusion: chi-square on size - 1 degrees of freedom, within
+        # six standard deviations, and no single row more than 5.5 sigma out
+        df = size - 1
+        assert abs(float((z**2).sum()) - df) < 6 * math.sqrt(2 * df)
+        assert float(np.abs(z).max()) < 5.5

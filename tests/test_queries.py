@@ -9,6 +9,7 @@ from panelsynth.queries import (
     debias_fraction,
     debiased_answer,
     eval_query,
+    is_supported,
     max_error_report,
     parse_queries,
 )
@@ -102,6 +103,21 @@ class TestUnsupportedWindow:
         store.append_column([1, 1])
         store.append_column([1, 0])
         assert eval_query(store, QuerySpec.window("1", 2), supported_k=3) == 0.5
+
+    def test_support_predicate(self):
+        window3 = QuerySpec.window("101", 5)
+        linear2 = QuerySpec.linear({"01": 1, "10": -1}, 5)
+        cum = QuerySpec.cumulative(2, 5)
+        # window synthesizer of length k: window and linear queries up to k rounds wide
+        assert [is_supported(q, 3) for q in (window3, linear2, cum)] == [True, True, False]
+        assert [is_supported(q, 2) for q in (window3, linear2, cum)] == [False, True, False]
+        # cumulative synthesizer: cumulative queries only
+        assert [is_supported(q, None) for q in (window3, linear2, cum)] == [False, False, True]
+
+    def test_cumulative_query_passes_a_window_check(self):
+        store = SyntheticStore(2)
+        store.append_column([1, 0])
+        assert eval_query(store, QuerySpec.cumulative(1, 1), supported_k=1) == 0.5
 
 
 class TestDebias:
