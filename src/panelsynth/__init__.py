@@ -23,13 +23,11 @@ from .model import (
     true_suffix_histogram,
 )
 from .queries import (
-    MaxErrorReport,
     QuerySpec,
     UnsupportedWindowError,
     debias_fraction,
     debiased_answer,
     eval_query,
-    max_error_report,
     parse_queries,
 )
 from .window import (
@@ -48,7 +46,6 @@ __all__ = [
     "CumulativeSynthesizer",
     "DiscreteGaussianSampler",
     "LongitudinalDataset",
-    "MaxErrorReport",
     "MonotoneBank",
     "PaddingExhaustedError",
     "QuerySpec",
@@ -68,7 +65,6 @@ __all__ = [
     "debias_fraction",
     "debiased_answer",
     "eval_query",
-    "max_error_report",
     "parse_queries",
     "split_consistent",
     "split_cumulative",

@@ -14,24 +14,21 @@ import numpy as np
 
 from .counters import MonotoneBank, TreeCounter
 from .dp import ZCDPAccountant, cumulative_split_weights, split_cumulative
-from .model import LongitudinalDataset, SyntheticStore, mark_random_subset
+from .model import LongitudinalDataset, RowGroups, SyntheticStore
 
 __all__ = ["CumulativeSynthConfig", "CumulativeSynthesizer", "accuracy_of"]
-
-_SCHEDULE_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CumulativeSynthConfig:
     """Run parameters for the cumulative synthesizer.
 
-    The schedule assigns budget per threshold b = 1..T and must sum to rho;
-    by default it is the error-equalizing tree-counter split.
+    The budget rho is split over thresholds b = 1..T by the error-equalizing
+    tree-counter split (:meth:`resolved_schedule`).
     """
 
     T: int
     rho: float = 0.0
-    schedule: tuple[float, ...] | None = None
     noiseless: bool = False
 
     def __post_init__(self):
@@ -39,26 +36,15 @@ class CumulativeSynthConfig:
             raise ValueError("horizon must be at least 1")
         if not self.noiseless and self.rho <= 0:
             raise ValueError("rho must be positive for a noisy run")
-        if self.schedule is not None:
-            sched = tuple(float(x) for x in self.schedule)
-            if len(sched) != self.T:
-                raise ValueError("schedule needs one entry per threshold b = 1..T")
-            if any(x < 0 for x in sched):
-                raise ValueError("schedule entries must be non-negative")
-            if abs(sum(sched) - self.rho) > _SCHEDULE_REL_TOL * max(abs(self.rho), 1.0):
-                raise ValueError("schedule must sum to rho")
-            object.__setattr__(self, "schedule", sched)
 
     def resolved_schedule(self) -> tuple[float, ...]:
-        if self.schedule is not None:
-            return self.schedule
         if self.noiseless:
             return (0.0,) * self.T
         return tuple(split_cumulative(self.rho, self.T).tolist())
 
 
 def accuracy_of(cfg: CumulativeSynthConfig, n: int, beta: float) -> tuple[float, float]:
-    """Fraction-scale guarantee (alpha_star, beta_star) for the default split.
+    """Fraction-scale guarantee (alpha_star, beta_star) for the budget split.
 
     alpha_star bounds every released threshold fraction's error with
     probability 1 - beta_star, where beta_star = T * beta.
@@ -81,13 +67,9 @@ class CumulativeSynthesizer:
     weight b, feed counter b, monotonize, and extend exactly
     hat_S[b, t] - hat_S[b, t-1] synthetic rows out of the weight-(b-1) pool
     with a 1. Pools are read at their round t-1 state, so the loop over b is
-    order-independent on disjoint pools.
-
-    Pool order: each round groups the rows once by synthetic weight. Within a
-    pool the rows are taken in ascending row index, and the pool's
-    :func:`~panelsynth.model.mark_random_subset` draw indexes into that
-    order, so a seed fixes every published column. The draw costs O(pool)
-    for pools of at most 10,000 rows and O(min(z_hat, pool - z_hat)) above.
+    order-independent on disjoint pools; the row draws
+    (:class:`~panelsynth.model.RowGroups`, keyed by synthetic weight) follow
+    in ascending weight order.
     """
 
     def __init__(self, n: int, cfg: CumulativeSynthConfig, rng=None):
@@ -139,20 +121,14 @@ class CumulativeSynthesizer:
         # This is checked before any counter is fed, so a failure leaves the
         # engine at round t-1; given it, the bank's clamp keeps every draw
         # z_hat within 0..pool.size.
-        sizes = np.bincount(self._synth_weights, minlength=t)
-        if not np.array_equal(sizes, -np.diff(self.bank.hat[: t + 1, t - 1])):
-            raise RuntimeError(f"round {t}: weight pool sizes differ from the released counts")
-        # the stable sort lists each weight pool's rows in ascending index order
-        order = np.argsort(self._synth_weights, kind="stable")
-        column = np.zeros(self.n, dtype=np.uint8)
-        stop = 0
+        hat = self.bank.hat
+        pools = RowGroups(self._synth_weights, -np.diff(hat[: t + 1, t - 1]),
+                          f"round {t}: weight pool")
         for b in range(1, t + 1):
             s_tilde = self.counters[b].feed(int(arrivals[b - 1]))
             self.s_tilde[b, t] = s_tilde
-            s_hat = self.bank.monotonize(b, t, s_tilde)
-            z_hat = s_hat - self.bank.value(b, t - 1)
-            start, stop = stop, stop + int(sizes[b - 1])
-            mark_random_subset(column, order[start:stop], z_hat, self._select)
+            self.bank.monotonize(b, t, s_tilde)
+        column = pools.new_column(hat[1 : t + 1, t] - hat[1 : t + 1, t - 1], self._select)
         self.store.append_column(column)
         self._synth_weights += column
         self._true_weights += true_col

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .cumulative import CumulativeSynthConfig, CumulativeSynthesizer, accuracy_of
-from .model import LongitudinalDataset, true_cumulative_counts
-from .queries import QuerySpec, debiased_answer, eval_query, is_supported, max_error_report
+from .model import LongitudinalDataset, true_cumulative_counts, true_suffix_histogram
+from .queries import QuerySpec, debiased_answer, eval_query, is_supported
 from .window import PaddingExhaustedError, WindowSynthConfig, WindowSynthesizer, compute_error_bound
 
 __all__ = [
@@ -265,13 +265,25 @@ def _materialize_dataset(manifest: RunManifest, data_seed: np.random.SeedSequenc
     return dataset, dropped, source
 
 
-def _cumulative_max_error(truth, synth: CumulativeSynthesizer) -> int:
-    worst = 0
-    for t in range(1, synth.t + 1):
-        s_true = true_cumulative_counts(truth, t)
-        for b in range(1, t + 1):
-            worst = max(worst, abs(synth.bank.value(b, t) - int(s_true[b])))
-    return worst
+def _max_error(dataset, synth) -> int:
+    """Worst |released count - true count| over every round and bin of a run.
+
+    Scored from the counts each engine released, which its rows realize
+    exactly: the window engine's per-round histograms against truth plus
+    n_pad, and the cumulative bank against the true threshold counts.
+    """
+    if isinstance(synth, WindowSynthesizer):
+        k = synth.cfg.k
+        pairs = (
+            (p, true_suffix_histogram(dataset, k, t).counts + synth.n_pad)
+            for t, p in enumerate(synth.released, start=k)
+        )
+    else:
+        pairs = (
+            (synth.bank.hat[: t + 1, t], true_cumulative_counts(dataset, t))
+            for t in range(1, synth.t + 1)
+        )
+    return max(int(np.abs(released - true).max()) for released, true in pairs)
 
 
 def _run_one_rep(manifest: RunManifest, dataset, queries, n_pad, rep: int,
@@ -285,21 +297,16 @@ def _run_one_rep(manifest: RunManifest, dataset, queries, n_pad, rep: int,
                 debiased_answer(store, q, n_pad, dataset.n, k=manifest.k, force=True)
                 for q in queries
             ]
-            max_error = max_error_report(
-                dataset, store, k=manifest.k, n_pad=n_pad, rho=manifest.rho, T=manifest.T,
-                beta=manifest.beta, noiseless=manifest.noiseless,
-            ).max_additive
         else:
             synth = CumulativeSynthesizer(dataset.n, _synth_config(manifest), rng)
             store = synth.run(dataset, through=manifest.T)
             answers = [eval_query(store, q, force=True) for q in queries]
-            max_error = _cumulative_max_error(dataset, synth)
     except PaddingExhaustedError as exc:
         return RepOutcome(rep, False, None, None, fail_t=exc.t, fail_bin=exc.suffix)
     if rep < manifest.save_synth:
         path = Path(manifest.out_dir) / f"synth_rep{rep}.csv"
         np.savetxt(path, store.matrix(), fmt="%d", delimiter=",")
-    return RepOutcome(rep, True, answers, max_error, m=store.n)
+    return RepOutcome(rep, True, answers, _max_error(dataset, synth), m=store.n)
 
 
 _POOL_STATE: dict = {}

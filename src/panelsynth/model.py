@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "LongitudinalDataset",
+    "RowGroups",
     "SuffixHistogram",
     "SyntheticStore",
     "all_suffixes",
@@ -207,6 +208,49 @@ def mark_random_subset(column: np.ndarray, pool: np.ndarray, count: int, rng) ->
     else:
         column[pool] = 1
         column[pool[rng.choice(size, size - count, replace=False, shuffle=False)]] = 0
+
+
+class RowGroups:
+    """Synthetic rows grouped by a small unsigned key, to realize released counts.
+
+    Each synthesizer round releases its counts first and then extends the
+    rows so that they realize those counts exactly. The rows are grouped by
+    a key fixed at the previous round (the overlap code in window mode, the
+    synthetic weight in cumulative mode); group z must hold exactly the
+    ``sizes[z]`` rows that round released, and it gets its released number
+    of new 1 bits.
+
+    Pool order: the rows are grouped once, by one stable argsort of the key;
+    keys of at most 16 bits take numpy's O(rows) radix path. Within a group
+    the rows are taken in ascending row index, and the groups draw one
+    :func:`mark_random_subset` each, in key order, indexing into that order,
+    so a seed fixes every published column. A draw costs O(group) for
+    groups of at most 10,000 rows and O(min(ones, group - ones)) above.
+    """
+
+    def __init__(self, keys: np.ndarray, sizes: np.ndarray, what: str):
+        """RuntimeError naming ``what`` unless key z holds ``sizes[z]`` rows for every z."""
+        self._order = np.argsort(keys, kind="stable")
+        self._stops = np.cumsum(sizes)
+        self._starts = self._stops - sizes
+        # The sorted keys never decrease, so when the sizes sum to the row
+        # count and the first and last row of every non-empty group z hold z,
+        # group z is exactly order[start:stop]: an O(groups) check that the
+        # key groups realize the released sizes.
+        filled = np.flatnonzero(sizes)
+        if (
+            self._stops[-1] != keys.size
+            or (keys[self._order[self._starts[filled]]] != filled).any()
+            or (keys[self._order[self._stops[filled] - 1]] != filled).any()
+        ):
+            raise RuntimeError(f"{what} sizes differ from the released counts")
+
+    def new_column(self, ones, rng) -> np.ndarray:
+        """A new bit column with ``ones[z]`` uniformly random 1s in each group z."""
+        column = np.zeros(self._order.size, dtype=np.uint8)
+        for start, stop, count in zip(self._starts.tolist(), self._stops.tolist(), ones):
+            mark_random_subset(column, self._order[start:stop], int(count), rng)
+        return column
 
 
 def true_suffix_histogram(dataset: LongitudinalDataset, k: int, t: int) -> SuffixHistogram:

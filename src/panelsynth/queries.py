@@ -12,17 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import suffix_index
-from .window import compute_error_bound, compute_relative_error_bound
 
 __all__ = [
-    "MaxErrorReport",
     "QuerySpec",
     "UnsupportedWindowError",
     "debias_fraction",
     "debiased_answer",
     "eval_query",
     "is_supported",
-    "max_error_report",
     "parse_queries",
 ]
 
@@ -242,48 +239,3 @@ def debiased_answer(
     for s, w in q.weights:
         numerator += w * (hist[s] - pad)
     return numerator / n
-
-
-@dataclass
-class MaxErrorReport:
-    """Observed worst-case deviations of a released store from padded truth."""
-
-    per_round_additive: dict[int, int]
-    max_additive: int
-    max_debiased_relative: float
-    additive_bound: float
-    relative_bound: float
-    beta: float
-
-
-def max_error_report(truth, store, *, k, n_pad, rho, T, beta=0.05, noiseless=False):
-    """Compare released counts against C + n_pad round by round.
-
-    Reports max over (s, t) of |p - (C + n_pad)|, the matching debiased
-    relative error, and the theoretical bounds at failure probability beta.
-    """
-    per_round: dict[int, int] = {}
-    max_additive = 0
-    max_c_frac = 0.0
-    last = min(store.t_max, truth.t_max)
-    for t in range(k, last + 1):
-        p = store.suffix_histogram(k, t).counts
-        c = truth.suffix_histogram(k, t).counts
-        deviation = int(np.abs(p - (c + n_pad)).max())
-        per_round[t] = deviation
-        max_additive = max(max_additive, deviation)
-        max_c_frac = max(max_c_frac, float(c.max()) / truth.n)
-    if noiseless:
-        additive_bound = 0.0
-        relative_bound = 0.0
-    else:
-        additive_bound = compute_error_bound(T, k, rho, beta)
-        relative_bound = compute_relative_error_bound(T, k, rho, beta, truth.n, max_c_frac)
-    return MaxErrorReport(
-        per_round_additive=per_round,
-        max_additive=max_additive,
-        max_debiased_relative=max_additive / truth.n,
-        additive_bound=additive_bound,
-        relative_bound=relative_bound,
-        beta=beta,
-    )

@@ -19,9 +19,9 @@ import numpy as np
 from .dp import BitSource, DiscreteGaussianSampler, ZCDPAccountant
 from .model import (
     LongitudinalDataset,
+    RowGroups,
     SuffixHistogram,
     SyntheticStore,
-    mark_random_subset,
     suffix_string,
     true_suffix_histogram,
 )
@@ -158,13 +158,9 @@ class WindowSynthesizer:
     All noise and index selection comes from the generator passed at
     construction, so a run is reproducible from its seed. Per-bin noise is
     drawn in lexicographic bin order; rounding bits and the row-subset draws
-    follow in overlap-group order.
-
-    Pool order: each round groups the rows once by their overlap code. Within
-    a group the rows are taken in ascending row index, and the group's
-    :func:`~panelsynth.model.mark_random_subset` draw indexes into that
-    order, so a seed fixes every published column. The draw costs O(group)
-    for groups of at most 10,000 rows and O(min(ones, group - ones)) above.
+    (:class:`~panelsynth.model.RowGroups`, keyed by overlap code) follow in
+    overlap-group order. ``released`` holds the published counts p of every
+    round k..t.
     """
 
     def __init__(self, cfg: WindowSynthConfig, rng=None):
@@ -186,6 +182,7 @@ class WindowSynthesizer:
         self.m: int | None = None
         self.t = 0
         self._p: np.ndarray | None = None  # synthetic counts per k-bit bin code
+        self.released: list[np.ndarray] = []
         # per-row code of the trailing k-1 bits, in the smallest unsigned dtype
         # that holds it: keys of at most 16 bits take numpy's radix argsort
         self._state: np.ndarray | None = None
@@ -197,8 +194,7 @@ class WindowSynthesizer:
     def _noise(self) -> int:
         return 0 if self._sampler is None else self._sampler.sample(self._bits)
 
-    def _noisy_counts(self, dataset: LongitudinalDataset, t: int) -> np.ndarray:
-        true = true_suffix_histogram(dataset, self.cfg.k, t).counts
+    def _noisy_counts(self, true: np.ndarray, t: int) -> np.ndarray:
         out = np.empty(true.shape, dtype=np.int64)
         for code in range(true.size):
             out[code] = int(true[code]) + self.n_pad + self._noise()
@@ -217,7 +213,7 @@ class WindowSynthesizer:
         k = self.cfg.k
         if dataset.t_max < k:
             raise ValueError(f"dataset must have at least k={k} ingested rounds")
-        c_hat = self._noisy_counts(dataset, k)
+        c_hat = self._noisy_counts(true_suffix_histogram(dataset, k, k).counts, k)
         negative = np.nonzero(c_hat < 0)[0]
         if negative.size:
             code = int(negative[0])
@@ -233,6 +229,7 @@ class WindowSynthesizer:
         overlap = (1 << (k - 1)) - 1
         self._state = (codes & overlap).astype(np.min_scalar_type(overlap))
         self._p = c_hat
+        self.released.append(c_hat)
         self.t = k
         return self.store.matrix()
 
@@ -249,12 +246,18 @@ class WindowSynthesizer:
         if t > dataset.t_max:
             raise ValueError(f"round {t} not ingested (t_max={dataset.t_max})")
 
-        c_hat = self._noisy_counts(dataset, t)
+        # the true histogram is built first, so its int64 temporaries are
+        # freed before the grouping's row order is allocated
+        true = true_suffix_histogram(dataset, k, t).counts
         half = 1 << (k - 1)
+        # rows ending in overlap z entered round t-1 with suffix 0z or 1z; the
+        # groups are checked before any budget is charged or noise is drawn
+        masses = self._p[:half] + self._p[half:]
+        groups = RowGroups(self._state, masses, f"round {t}: overlap group")
+        c_hat = self._noisy_counts(true, t)
         p_new = np.empty(1 << k, dtype=np.int64)
         for z in range(half):
-            # rows ending in overlap z entered round t-1 with suffix 0z or 1z
-            prev_mass = int(self._p[z]) + int(self._p[half + z])
+            prev_mass = int(masses[z])
             c0 = int(c_hat[2 * z])
             c1 = int(c_hat[2 * z + 1])
             bit = 0
@@ -268,30 +271,12 @@ class WindowSynthesizer:
             p_new[2 * z] = p_z0
             p_new[2 * z + 1] = p_z1
 
-        # stable, so each group lists its rows in ascending index order
-        order = np.argsort(self._state, kind="stable")
-        sizes = p_new[0::2] + p_new[1::2]
-        stops = np.cumsum(sizes)
-        starts = stops - sizes
-        # The sorted codes never decrease, so when the sizes sum to m and the
-        # first and last row of every non-empty group z hold z, group z is
-        # exactly order[start:stop]: an O(2^k) check that the group sizes
-        # equal the released counts.
-        filled = np.flatnonzero(sizes)
-        if (
-            stops[-1] != self.m
-            or (self._state[order[starts[filled]]] != filled).any()
-            or (self._state[order[stops[filled] - 1]] != filled).any()
-        ):
-            raise RuntimeError(f"round {t}: overlap group sizes differ from the released counts")
-        column = np.zeros(self.m, dtype=np.uint8)
-        for z in range(half):
-            pool = order[starts[z] : stops[z]]
-            mark_random_subset(column, pool, int(p_new[2 * z + 1]), self._select)
+        column = groups.new_column(p_new[1::2], self._select)
         self._state <<= 1
         self._state |= column
         self._state &= half - 1
         self._p = p_new
+        self.released.append(p_new)
         self.store.append_column(column)
         self.t = t
         return column

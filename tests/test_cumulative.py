@@ -10,14 +10,6 @@ from panelsynth.model import LongitudinalDataset, true_cumulative_counts
 
 
 class TestConfig:
-    def test_schedule_must_sum_to_rho(self):
-        with pytest.raises(ValueError, match="sum to rho"):
-            CumulativeSynthConfig(T=3, rho=0.3, schedule=(0.1, 0.1, 0.2))
-
-    def test_schedule_length(self):
-        with pytest.raises(ValueError, match="one entry per threshold"):
-            CumulativeSynthConfig(T=3, rho=0.3, schedule=(0.1, 0.2))
-
     def test_default_schedule_is_weighted_split(self):
         cfg = CumulativeSynthConfig(T=4, rho=0.9)
         sched = cfg.resolved_schedule()

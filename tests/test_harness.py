@@ -4,15 +4,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_dataset
 from panelsynth.cli import main
+from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
 from panelsynth.harness import (
     InputError,
     RunManifest,
+    _max_error,
     ingest_csv,
     run_experiment,
     simulate_dataset,
 )
 from panelsynth.queries import QuerySpec, parse_queries
+from panelsynth.window import WindowSynthConfig, WindowSynthesizer
 
 
 class TestIngestCsv:
@@ -189,6 +193,46 @@ class TestRunExperiment:
                                data_path=str(data))
         with pytest.raises(InputError, match="horizon"):
             run_experiment(man)
+
+
+class TestMaxError:
+    """The released-count error equals a scan of the synthetic store."""
+
+    def test_window_matches_store_scan(self):
+        rng = np.random.default_rng(6)
+        ds = random_dataset(rng, 50, 6, p=0.4)
+        synth = WindowSynthesizer(WindowSynthConfig(T=6, k=2, rho=0.2, beta_target=0.05), rng)
+        store = synth.run(ds)
+        worst = max(
+            int(np.abs(store.suffix_histogram(2, t).counts
+                       - (ds.suffix_histogram(2, t).counts + synth.n_pad)).max())
+            for t in range(2, 7)
+        )
+        assert worst > 0
+        assert _max_error(ds, synth) == worst
+
+    def test_cumulative_matches_store_scan(self):
+        rng = np.random.default_rng(6)
+        ds = random_dataset(rng, 50, 6, p=0.4)
+        synth = CumulativeSynthesizer(50, CumulativeSynthConfig(T=6, rho=0.2), rng)
+        store = synth.run(ds)
+        worst = max(
+            int(np.abs(store.cumulative_counts(t) - ds.cumulative_counts(t)).max())
+            for t in range(1, 7)
+        )
+        assert worst > 0
+        assert _max_error(ds, synth) == worst
+
+    @pytest.mark.parametrize("mode", ["window", "cumulative"])
+    def test_noiseless_run_has_zero_error(self, mode):
+        rng = np.random.default_rng(4)
+        ds = random_dataset(rng, 30, 6, p=0.5)
+        if mode == "window":
+            synth = WindowSynthesizer(WindowSynthConfig(T=6, k=2, noiseless=True), rng)
+        else:
+            synth = CumulativeSynthesizer(30, CumulativeSynthConfig(T=6, noiseless=True), rng)
+        synth.run(ds)
+        assert _max_error(ds, synth) == 0
 
 
 class TestCli:

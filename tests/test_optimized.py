@@ -26,4 +26,4 @@ def test_invariant_checks_survive_python_O(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "3 passed" in proc.stdout
+    assert "4 passed" in proc.stdout

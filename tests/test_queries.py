@@ -10,7 +10,6 @@ from panelsynth.queries import (
     debiased_answer,
     eval_query,
     is_supported,
-    max_error_report,
     parse_queries,
 )
 from panelsynth.window import WindowSynthConfig, WindowSynthesizer
@@ -176,32 +175,3 @@ class TestReductionOracle:
         ds = LongitudinalDataset.from_matrix(np.ones((2, 14), dtype=int))
         with pytest.raises(ValueError, match="capped"):
             cumulative_from_window_oracle(ds, 1, 14)
-
-
-class TestMaxErrorReport:
-    def test_noiseless_run_has_zero_error(self):
-        rng = np.random.default_rng(4)
-        ds = random_dataset(rng, 30, 6, p=0.5)
-        cfg = WindowSynthConfig(T=6, k=2, noiseless=True)
-        store = WindowSynthesizer(cfg, rng).run(ds)
-        report = max_error_report(ds, store, k=2, n_pad=0, rho=1.0, T=6, noiseless=True)
-        assert report.max_additive == 0
-        assert report.max_debiased_relative == 0.0
-        assert all(v == 0 for v in report.per_round_additive.values())
-
-    def test_measures_against_padded_truth(self):
-        rng = np.random.default_rng(6)
-        ds = random_dataset(rng, 50, 6, p=0.4)
-        cfg = WindowSynthConfig(T=6, k=2, rho=0.2, beta_target=0.05)
-        synth = WindowSynthesizer(cfg, rng)
-        store = synth.run(ds)
-        report = max_error_report(ds, store, k=2, n_pad=synth.n_pad, rho=0.2, T=6, beta=0.05)
-        worst = 0
-        for t in range(2, 7):
-            p = store.suffix_histogram(2, t).counts
-            c = ds.suffix_histogram(2, t).counts
-            worst = max(worst, int(np.abs(p - (c + synth.n_pad)).max()))
-        assert report.max_additive == worst
-        assert report.max_additive >= 0
-        assert report.additive_bound > 0
-        assert report.max_debiased_relative == pytest.approx(worst / ds.n)

@@ -258,6 +258,20 @@ class TestReleaseInvariant:
             synth.step(ds, 4)
         assert synth.store.t_max == 3
 
+    def test_refused_noisy_step_spends_nothing(self):
+        rng = np.random.default_rng(4)
+        ds = random_dataset(rng, 40, 5, p=0.5)
+        synth = WindowSynthesizer(WindowSynthConfig(T=5, k=3, rho=1.0), rng)
+        synth.init(ds)
+        entries = list(synth.accountant.entries)
+        spent = synth.metadata()["rho_spent"]
+        synth._p[0] += 2
+        with pytest.raises(RuntimeError, match="round 4: .*group sizes"):
+            synth.step(ds, 4)
+        assert synth.accountant.entries == entries
+        assert synth.metadata()["rho_spent"] == spent
+        assert synth.t == 3
+
 
 class TestPaddingExhaustion:
     def test_negative_count_aborts_with_location(self):
