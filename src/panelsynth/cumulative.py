@@ -92,7 +92,6 @@ class CumulativeSynthesizer:
         # smallest unsigned dtype holding T: weights of at most 16 bits take
         # numpy's radix argsort, and the per-round `+= column` adds bytes
         self._synth_weights = np.zeros(self.n, dtype=np.min_scalar_type(cfg.T))
-        self._true_weights = np.zeros(self.n, dtype=self._synth_weights.dtype)
         # raw (pre-monotonization) counter outputs, for diagnostics
         self.s_tilde = np.zeros((cfg.T + 1, cfg.T + 1), dtype=np.int64)
         self.accountant = ZCDPAccountant()
@@ -113,9 +112,10 @@ class CumulativeSynthesizer:
         if dataset.n != self.n:
             raise ValueError("dataset population differs from synthesizer population")
 
-        true_col = dataset.column(t)
-        # arrivals[w] = number of true rows at weight w before round t reporting 1 now
-        arrivals = np.bincount(self._true_weights[true_col == 1], minlength=t)
+        # arrivals[b-1] = true rows reaching weight b at round t, S_t[b] - S_{t-1}[b]
+        arrivals = dataset.cumulative_counts(t)[1:].copy()
+        if t > 1:
+            arrivals[:-1] -= dataset.cumulative_counts(t - 1)[1:]
         # Synthetic weights before round t lie in 0..t-1, and each weight pool
         # must hold the rows the bank released at that weight for round t-1.
         # This is checked before any counter is fed, so a failure leaves the
@@ -131,7 +131,6 @@ class CumulativeSynthesizer:
         column = pools.new_column(hat[1 : t + 1, t] - hat[1 : t + 1, t - 1], self._select)
         self.store.append_column(column)
         self._synth_weights += column
-        self._true_weights += true_col
         self.t = t
         return column
 

@@ -312,9 +312,9 @@ def _run_one_rep(manifest: RunManifest, dataset, queries, n_pad, rep: int,
 _POOL_STATE: dict = {}
 
 
-def _pool_init(manifest, matrix, queries, n_pad):
+def _pool_init(manifest, dataset, queries, n_pad):
     _POOL_STATE["manifest"] = manifest
-    _POOL_STATE["dataset"] = LongitudinalDataset.from_matrix(matrix)
+    _POOL_STATE["dataset"] = dataset
     _POOL_STATE["queries"] = queries
     _POOL_STATE["n_pad"] = n_pad
 
@@ -397,7 +397,7 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
         with ProcessPoolExecutor(
             max_workers=manifest.workers,
             initializer=_pool_init,
-            initargs=(manifest, dataset.matrix(), queries, n_pad),
+            initargs=(manifest, dataset, queries, n_pad),
         ) as pool:
             outcomes = list(pool.map(_pool_run, tasks, chunksize=8))
     else:

@@ -8,6 +8,7 @@ is simply the string read as a binary number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -51,9 +52,22 @@ def _bit_copy(col: np.ndarray, what: str) -> np.ndarray:
     # NaN and out-of-range floats cast to arbitrary bytes; the equality test rejects them
     with np.errstate(invalid="ignore"):
         bits = col.astype(np.uint8)
-    if bits.max(initial=0) > 1 or not np.array_equal(bits, col):
+    exact_cast = col.dtype == np.uint8 or col.dtype == np.bool_
+    if bits.max(initial=0) > 1 or not (exact_cast or np.array_equal(bits, col)):
         raise ValueError(f"{what} must be 0 or 1")
     return bits
+
+
+def _row_slabs(n: int, width: int):
+    """Row slices of about 256 KB of a ``width``-byte-wide panel: no temporary grows with n."""
+    rows = max(1, (1 << 18) // max(width, 1))
+    return (slice(lo, lo + rows) for lo in range(0, n, rows))
+
+
+@cache
+def _bit_reversal(k: int) -> np.ndarray:
+    """rev[c] = c with its k bits in reverse order."""
+    return np.array([int(suffix_string(c, k)[::-1], 2) for c in range(1 << k)])
 
 
 @dataclass(frozen=True)
@@ -86,16 +100,19 @@ class LongitudinalDataset:
     """Append-only bit panel: n rows that gain one bit per round, 1..t_max.
 
     Real reports and synthetic releases are both panels (``SyntheticStore``
-    is this class). Appended columns are read-only and never change, so a
-    histogram over rounds up to t_max is final: each is computed once,
-    memoized, and returned read-only. Appending is single-writer.
+    is this class), stored as ceil(t_max / 8) byte planes: plane g is one
+    ``uint8[n]`` holding rounds 8g+1..8g+8, round 8g+j+1 at bit j. Rounds
+    never change once appended, so a histogram over rounds up to t_max is
+    final: each is computed once, memoized, and returned read-only.
+    Appending is single-writer.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("population size must be at least 1")
         self.n = int(n)
-        self._cols: list[np.ndarray] = []
+        self.t_max = 0
+        self._planes: list[np.ndarray] = []
         self._hists: dict[tuple[int, int], SuffixHistogram] = {}
         self._cum: dict[int, np.ndarray] = {}
 
@@ -105,14 +122,23 @@ class LongitudinalDataset:
         arr = np.asarray(bits)
         if arr.ndim != 2:
             raise ValueError("expected a 2-d array of bits (individuals x rounds)")
-        ds = cls(arr.shape[0])
-        for t in range(arr.shape[1]):
-            ds.append_column(arr[:, t])
+        n, T = arr.shape
+        ds = cls(n)
+        planes = np.empty((-(-T // 8), n), dtype=np.uint8)
+        for rows in _row_slabs(n, T):
+            try:
+                slab = _bit_copy(arr[rows], "values")
+            except ValueError:
+                for t in range(T):  # name the first bad round
+                    _bit_copy(arr[:, t], f"round {t + 1}: values")
+                raise
+            planes[:, rows] = np.packbits(slab, axis=1, bitorder="little").T
+        ds._planes, ds.t_max = list(planes), T
         return ds
 
-    @property
-    def t_max(self) -> int:
-        return len(self._cols)
+    def __getstate__(self):
+        # the memos stay behind: numpy unpickles arrays writeable
+        return {**self.__dict__, "_hists": {}, "_cum": {}}
 
     @property
     def m(self) -> int:
@@ -126,22 +152,31 @@ class LongitudinalDataset:
         if col.shape != (self.n,):
             raise ValueError(f"round {t}: expected {self.n} bits, got shape {col.shape}")
         bits = _bit_copy(col, f"round {t}: values")
-        bits.flags.writeable = False
-        self._cols.append(bits)
+        if self.t_max % 8 == 0:
+            self._planes.append(bits)
+        else:  # times 2**j: numpy's uint8 left shift is about ten times slower
+            self._planes[-1] |= np.multiply(bits, 1 << self.t_max % 8, out=bits)
+        self.t_max = t
 
     def _check_round(self, t: int) -> None:
         if not 1 <= t <= self.t_max:
             raise ValueError(f"round {t} not appended (t_max={self.t_max})")
 
     def column(self, t: int) -> np.ndarray:
+        """A read-only uint8 copy of round t."""
         self._check_round(t)
-        return self._cols[t - 1]
+        col = (self._planes[(t - 1) // 8] >> (t - 1) % 8) & 1
+        col.flags.writeable = False
+        return col
 
     def matrix(self) -> np.ndarray:
-        """The (n x t_max) bit matrix."""
-        if not self._cols:
-            return np.zeros((self.n, 0), dtype=np.uint8)
-        return np.column_stack(self._cols)
+        """A read-only (n x t_max) uint8 copy of the panel."""
+        out = np.empty((self.n, self.t_max), dtype=np.uint8)
+        for rows in _row_slabs(self.n, self.t_max) if self.t_max else ():
+            packed = np.stack([plane[rows] for plane in self._planes], axis=1)
+            out[rows] = np.unpackbits(packed, axis=1, count=self.t_max, bitorder="little")
+        out.flags.writeable = False
+        return out
 
     def suffix_histogram(self, k: int, t: int) -> SuffixHistogram:
         """Histogram of length-k suffixes at round t; counts sum to n."""
@@ -152,11 +187,16 @@ class LongitudinalDataset:
             if t < k:
                 raise ValueError(f"suffix histograms need t >= k (got t={t}, k={k})")
             self._check_round(t)
-            # per-row bin code of rounds t-k+1 .. t, oldest bit first
-            codes = np.zeros(self.n, dtype=np.int64)
-            for j in range(t - k, t):
-                codes = (codes << 1) | self._cols[j]
-            hist = self._hists[k, t] = SuffixHistogram(k, np.bincount(codes, minlength=1 << k))
+            # one word per row from the planes rounds t-k+1..t touch, shifted and
+            # masked; the oldest round is bit 0, so the bins come out bit-reversed
+            lo, hi = (t - k) // 8, (t - 1) // 8
+            word = self._planes[lo].astype(np.min_scalar_type((1 << 8 * (hi - lo + 1)) - 1))
+            for g in range(lo + 1, hi + 1):
+                word |= np.left_shift(self._planes[g], 8 * (g - lo), dtype=word.dtype)
+            word >>= t - k - 8 * lo
+            word &= (1 << k) - 1
+            counts = np.bincount(word, minlength=1 << k)[_bit_reversal(k)]
+            hist = self._hists[k, t] = SuffixHistogram(k, counts)
             hist.counts.flags.writeable = False
         return hist
 
@@ -169,9 +209,10 @@ class LongitudinalDataset:
         counts = self._cum.get(t)
         if counts is None:
             self._check_round(t)
-            weights = np.zeros(self.n, dtype=np.int64)
-            for j in range(t):
-                weights += self._cols[j]
+            weights = np.zeros(self.n, dtype=np.min_scalar_type(t))
+            for g in range(0, t, 8):  # the last plane's rounds past t are masked off
+                plane = self._planes[g // 8]
+                weights += np.bitwise_count(plane if t - g >= 8 else plane & (1 << t - g) - 1)
             exact = np.bincount(weights, minlength=t + 1)
             counts = self._cum[t] = np.cumsum(exact[::-1])[::-1].astype(np.int64)
             counts.flags.writeable = False

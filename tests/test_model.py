@@ -1,8 +1,10 @@
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from panelsynth.model import (
@@ -60,6 +62,15 @@ class TestIngest:
     def test_non_binary_value(self, bad):
         with pytest.raises(ValueError, match="round 2: values must be 0 or 1"):
             LongitudinalDataset.from_matrix(np.array([[0, 0], [1, bad]]))
+
+    def test_first_bad_round_is_named_across_planes_and_slabs(self):
+        # round 12 is bad in the first rows and round 10 far below them, in
+        # a later slab: the earlier round is the one named
+        bits = np.zeros((50_000, 12), dtype=np.int64)
+        bits[0, 11] = 2
+        bits[45_000, 9] = -1
+        with pytest.raises(ValueError, match="round 10: values must be 0 or 1"):
+            LongitudinalDataset.from_matrix(bits)
 
 
 class TestTrueSuffixHistogram:
@@ -226,6 +237,79 @@ class TestOnePanelType:
             ds.cumulative_counts(4)
         ds.append_column([1, 1])
         assert ds.suffix_histogram(1, 4)["1"] == 2
+
+
+class TestBytePlanes:
+    """The packed panel against a naive uint8 reference of the same bits."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 50), st.integers(1, 140), st.integers(0, 140),
+           st.floats(0, 1), st.integers(0, 10_000))
+    # weights past 255 need a wider weight dtype than uint8
+    @example(n=7, T=300, split=131, p=0.95, seed=3)
+    def test_matches_naive_reference(self, n, T, split, p, seed):
+        bits = (np.random.default_rng(seed).random((n, T)) < p).astype(np.uint8)
+        # rounds up to split are packed by from_matrix, the rest appended
+        split = min(split, T)
+        ds = LongitudinalDataset.from_matrix(bits[:, :split])
+        for t in range(split, T):
+            ds.append_column(bits[:, t])
+        assert ds.t_max == T
+        np.testing.assert_array_equal(ds.matrix(), bits)
+        for t in range(1, T + 1):
+            np.testing.assert_array_equal(ds.column(t), bits[:, t - 1])
+            weights = bits[:, :t].sum(axis=1)
+            expected = [(weights >= b).sum() for b in range(t + 1)]
+            np.testing.assert_array_equal(ds.cumulative_counts(t), expected)
+        for k in range(1, min(T, 12) + 1):
+            place = 1 << np.arange(k - 1, -1, -1)
+            for t in range(k, T + 1):
+                codes = bits[:, t - k : t].astype(np.int64) @ place
+                np.testing.assert_array_equal(
+                    ds.suffix_histogram(k, t).counts, np.bincount(codes, minlength=1 << k)
+                )
+
+    def test_copies_out_are_fresh_and_read_only(self):
+        ds = LongitudinalDataset.from_matrix([[1, 0], [0, 1]])
+        for arr in (ds.column(2), ds.matrix()):
+            assert arr.dtype == np.uint8
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        assert ds.column(1) is not ds.column(1)
+        assert LongitudinalDataset(3).matrix().shape == (3, 0)
+
+    def test_pickles_packed_and_recomputes_memos(self):
+        bits = (np.random.default_rng(2).random((1_000, 16)) < 0.5).astype(np.uint8)
+        ds = LongitudinalDataset.from_matrix(bits)
+        hist = ds.suffix_histogram(3, 12)
+        blob = pickle.dumps(ds)
+        assert len(blob) < bits.nbytes // 8 + 1_000
+        copy = pickle.loads(blob)
+        np.testing.assert_array_equal(copy.matrix(), bits)
+        again = copy.suffix_histogram(3, 12)
+        np.testing.assert_array_equal(again.counts, hist.counts)
+        with pytest.raises(ValueError, match="read-only"):
+            again.counts[0] = 9
+
+    @staticmethod
+    def _peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_no_temporary_of_the_whole_panel(self):
+        # 200,000 rows x 16 rounds pack into two 200,000-byte planes
+        n, T = 200_000, 16
+        packed = n * T // 8
+        bits = (np.random.default_rng(0).random((n, T)) < 0.3).astype(np.uint8)
+        ds, peak = self._peak_bytes(lambda: LongitudinalDataset.from_matrix(bits))
+        assert peak <= 4 * packed
+        out, peak = self._peak_bytes(ds.matrix)
+        assert peak <= out.nbytes + 2 * packed
 
 
 class TestMarkRandomSubset:
