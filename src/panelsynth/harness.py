@@ -23,6 +23,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,70 @@ class InputError(ValueError):
     """Unusable input data or manifest; the CLI maps this to exit code 2."""
 
 
+_CHUNK_RECORDS = 2048  # records converted per bulk call; no cell string outlives its chunk
+
+
+def _cell_value(cell: str) -> float:
+    """A cell's number, NaN for a missing token; ValueError for anything else."""
+    try:
+        return float(cell)
+    except ValueError:
+        token = cell.strip()
+        if token.lower() in _MISSING_TOKENS:
+            return math.nan
+        return float(token)  # str.strip also removes \x1c-\x1f, which float() keeps
+
+
+def _chunk_values(path, linenos, records, width: int) -> np.ndarray:
+    """A chunk's cells as one flat float64 array, NaN for missing tokens.
+
+    Raises the InputError of the chunk's first ragged record or non-numeric cell.
+    """
+    if set(map(len, records)) == {width}:
+        for convert in (float, _cell_value):  # plain float() is the fast common case
+            try:
+                return np.fromiter(map(convert, chain.from_iterable(records)), float,
+                                   len(records) * width)
+            except ValueError:
+                pass
+    for lineno, record in zip(linenos, records):
+        if len(record) != width:
+            raise InputError(f"{path}: line {lineno} has {len(record)} columns, expected {width}")
+        for cell in record:
+            try:
+                _cell_value(cell)
+            except ValueError:
+                raise InputError(f"{path}: line {lineno}: non-numeric cell {cell!r}") from None
+
+
+def _read_blocks(path, header: bool, delimiter: str):
+    """The kept rows as float64 blocks, one per chunk, and the dropped-row count."""
+    blocks, dropped, width = [], 0, None
+    try:
+        with open(path, newline="") as handle:
+            numbered = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
+            kept = (  # line numbers count records; the header and blank records are skipped
+                (lineno, record) for lineno, record in numbered
+                if not (header and lineno == 1) and record and (len(record) > 1 or record[0].strip())
+            )
+            while chunk := list(islice(kept, _CHUNK_RECORDS)):
+                linenos, records = zip(*chunk)
+                width = width or len(records[0])
+                flat = _chunk_values(path, linenos, records, width)
+                missing = np.zeros(len(records), dtype=bool)
+                for i in np.flatnonzero(np.isnan(flat)).tolist():  # "-nan" is a value
+                    row, col = divmod(i, width)
+                    missing[row] |= records[row][col].strip().lower() in _MISSING_TOKENS
+                dropped += int(missing.sum())
+                blocks.append(flat.reshape(-1, width)[~missing])
+                del chunk, linenos, records  # free this chunk's strings before reading the next
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid {exc.encoding} text") from None
+    except csv.Error as exc:
+        raise InputError(f"{path}: {exc}") from None
+    return blocks, dropped
+
+
 def ingest_csv(path, header: bool = False, threshold: float | None = None, delimiter: str = ","):
     """Load a rows-by-rounds numeric CSV into a dataset.
 
@@ -61,40 +126,10 @@ def ingest_csv(path, header: bool = False, threshold: float | None = None, delim
     Rows containing any missing cell are dropped. Returns
     (dataset, dropped_row_count).
     """
-    rows: list[list[float]] = []
-    dropped = 0
-    width: int | None = None
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        for lineno, record in enumerate(reader, start=1):
-            if header and lineno == 1:
-                continue
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if width is None:
-                width = len(record)
-            elif len(record) != width:
-                raise InputError(
-                    f"{path}: line {lineno} has {len(record)} columns, expected {width}"
-                )
-            values: list[float] = []
-            missing = False
-            for cell in record:
-                token = cell.strip()
-                if token.lower() in _MISSING_TOKENS:
-                    missing = True
-                    continue
-                try:
-                    values.append(float(token))
-                except ValueError:
-                    raise InputError(f"{path}: line {lineno}: non-numeric cell {cell!r}") from None
-            if missing:
-                dropped += 1
-                continue
-            rows.append(values)
-    if not rows:
+    blocks, dropped = _read_blocks(path, header, delimiter)
+    if not sum(map(len, blocks)):
         raise InputError(f"{path}: no usable rows")
-    arr = np.array(rows, dtype=float)
+    arr = np.concatenate(blocks)
     if threshold is not None:
         bits = (arr < threshold).astype(np.uint8)
     else:

@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from panelsynth.dp import BitSource, DiscreteGaussianSampler
+from panelsynth.harness import _MISSING_TOKENS, InputError
 from panelsynth.model import LongitudinalDataset
 
 # Base seed for the shared million-sample batches. The empirical-mean check
@@ -44,6 +46,56 @@ def random_dataset(rng, n, T, p=None) -> LongitudinalDataset:
     if p is None:
         p = rng.uniform(0.1, 0.9)
     return LongitudinalDataset.from_matrix((rng.random((n, T)) < p).astype(np.uint8))
+
+
+def ingest_csv_reference(path, header: bool = False, threshold: float | None = None,
+                         delimiter: str = ","):
+    """Row-by-row CSV ingestion, one Python step per cell: the oracle for ingest_csv.
+
+    Same signature, values, dropped-row counts and error messages as
+    harness.ingest_csv, which converts each chunk of records in one call.
+    """
+    rows: list[list[float]] = []
+    dropped = 0
+    width: int | None = None
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        for lineno, record in enumerate(reader, start=1):
+            if header and lineno == 1:
+                continue
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            if width is None:
+                width = len(record)
+            elif len(record) != width:
+                raise InputError(
+                    f"{path}: line {lineno} has {len(record)} columns, expected {width}"
+                )
+            values: list[float] = []
+            missing = False
+            for cell in record:
+                token = cell.strip()
+                if token.lower() in _MISSING_TOKENS:
+                    missing = True
+                    continue
+                try:
+                    values.append(float(token))
+                except ValueError:
+                    raise InputError(f"{path}: line {lineno}: non-numeric cell {cell!r}") from None
+            if missing:
+                dropped += 1
+                continue
+            rows.append(values)
+    if not rows:
+        raise InputError(f"{path}: no usable rows")
+    arr = np.array(rows, dtype=float)
+    if threshold is not None:
+        bits = (arr < threshold).astype(np.uint8)
+    else:
+        if not np.isin(arr, (0.0, 1.0)).all():
+            raise InputError(f"{path}: values must be 0/1 unless a binarization threshold is given")
+        bits = arr.astype(np.uint8)
+    return LongitudinalDataset.from_matrix(bits), dropped
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,20 @@
+import csv
 import json
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_dataset
+from conftest import ingest_csv_reference, random_dataset
+from panelsynth import harness
 from panelsynth.cli import main
 from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
 from panelsynth.harness import (
+    _CHUNK_RECORDS,
     InputError,
     RunManifest,
     _max_error,
@@ -61,6 +68,128 @@ class TestIngestCsv:
         path.write_text("1,2\n0,1\n")
         with pytest.raises(InputError, match="0/1"):
             ingest_csv(path)
+
+    def test_undecodable_file_names_the_path(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"0,1\n\x81\xff,1\n")
+        with pytest.raises(InputError, match="d.csv: not valid utf-8 text"):
+            ingest_csv(path)
+
+    def test_oversized_field_names_the_path(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("0,1\n0," + "1" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(InputError, match="d.csv: field larger than field limit"):
+            ingest_csv(path)
+
+
+def _outcome(ingest, path, **kwargs):
+    """(shape, matrix bytes, dropped rows) of an ingest, or its InputError text."""
+    try:
+        ds, dropped = ingest(path, **kwargs)
+    except InputError as exc:
+        return str(exc)
+    matrix = ds.matrix()
+    return matrix.shape, matrix.tobytes(), dropped
+
+
+_TOKENS = ["0", "1"] * 8 + ["", " NA ", "nan", "NaN", "-nan", "null", "None", ".", "x", "2",
+                            "0.5", "1e0", "+1", "1_0", "inf", "1,0"]
+_PADS = ["", "", "", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+@st.composite
+def _cells(draw):
+    pad = st.sampled_from(_PADS)
+    text = draw(pad) + draw(st.sampled_from(_TOKENS)) + draw(pad)
+    if "," in text or draw(st.booleans()):
+        text = '"' + text + '"'
+    return text
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text with blank, whitespace-only and ragged lines mixed into rows of one width."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", '""'])))
+            continue
+        count = width if kind == "row" else draw(st.sampled_from([max(width - 1, 1), width + 1]))
+        lines.append(",".join(draw(_cells()) for _ in range(count)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+class TestIngestMatchesReference:
+    """The chunked ingest against the row-by-row loop it replaced (conftest)."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_csv_texts(), st.booleans(), st.sampled_from([None, 0.5, 1.0, 2.0]),
+           st.sampled_from([1, 2, 3, _CHUNK_RECORDS]))
+    def test_same_matrix_dropped_count_or_error(self, tmp_path_factory, text, header,
+                                                 threshold, chunk):
+        path = tmp_path_factory.getbasetemp() / "generated.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(harness, "_CHUNK_RECORDS", chunk):
+            got = _outcome(ingest_csv, path, header=header, threshold=threshold)
+        assert got == _outcome(ingest_csv_reference, path, header=header, threshold=threshold)
+
+    @staticmethod
+    def _both(path, lines, **kwargs):
+        path.write_text("\n".join(lines) + "\n")
+        got = _outcome(ingest_csv, path, **kwargs)
+        assert got == _outcome(ingest_csv_reference, path, **kwargs)
+        return got
+
+    def test_first_width_holds_in_later_chunks(self, tmp_path):
+        got = self._both(tmp_path / "d.csv", ["0,1,0"] * _CHUNK_RECORDS + ["1,1"] * 5)
+        assert got.endswith(f"line {_CHUNK_RECORDS + 1} has 2 columns, expected 3")
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_later_chunk_fault_names_its_record(self, tmp_path, header):
+        lines = ["0,1"] * (2 * _CHUNK_RECORDS + 5) + ["", "1, x ", "1,0"]
+        got = self._both(tmp_path / "d.csv", lines, header=header)
+        assert got.endswith(f"line {2 * _CHUNK_RECORDS + 7}: non-numeric cell ' x '")
+
+    @pytest.mark.parametrize("first", ["", " ", "1,NA", "nan,0"])
+    def test_first_chunk_blank_or_dropped(self, tmp_path, first):
+        lines = [first] * (_CHUNK_RECORDS + 3) + ["0,1", "1,1", "-nan,1"]
+        shape, _, dropped = self._both(tmp_path / "d.csv", lines, threshold=0.5)
+        assert shape == (3, 2) and dropped == (0 if first.strip() == "" else _CHUNK_RECORDS + 3)
+
+    @pytest.mark.parametrize("bad, ragged, reported", [
+        (3, 8, "bad"),        # both in the second chunk
+        (8, 3, "ragged"),
+        (0, 1, "bad"),        # last record of the first chunk, first of the second
+        (1, 0, "ragged"),
+        (5, 5, "ragged"),     # one record: the width is checked before the cells
+    ])
+    def test_first_fault_in_record_order(self, tmp_path, bad, ragged, reported):
+        lines = ["0,1"] * (_CHUNK_RECORDS + 10)
+        lines[_CHUNK_RECORDS - 1 + bad] = "x,1"
+        lines[_CHUNK_RECORDS - 1 + ragged] = lines[_CHUNK_RECORDS - 1 + ragged] + ",1"
+        got = self._both(tmp_path / "d.csv", lines)
+        line = _CHUNK_RECORDS + (bad if reported == "bad" else ragged)
+        assert got.endswith(f"line {line}: non-numeric cell 'x'" if reported == "bad"
+                            else f"line {line} has 3 columns, expected 2")
+
+    def test_peak_memory_is_a_few_matrices(self, tmp_path):
+        # SIPP-sized numeric input; a list of every cell of the file peaks near 13x
+        n, width = 23_374, 12
+        path = tmp_path / "d.csv"
+        values = np.random.default_rng(0).gamma(2.0, 1.0, (n, width))
+        np.savetxt(path, values, fmt="%.2f", delimiter=",")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ds, _ = ingest_csv(path, threshold=1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert ds.n == n
+        assert peak <= 3 * n * width * 8
 
 
 class TestSimulate:
@@ -283,6 +412,13 @@ class TestCli:
         bad.write_text("1,2\n")
         rc = main(["eval", "--data", str(bad), "--queries", '[{"kind":"cum","b":1,"t":1}]'])
         assert rc == 2
+
+    def test_undecodable_csv_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"0,1\n\xff,1\n")
+        rc = main(["eval", "--data", str(bad), "--queries", '[{"kind":"cum","b":1,"t":1}]'])
+        assert rc == 2
+        assert f"error: {bad}: not valid utf-8 text" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["eval", "--data", str(tmp_path / "nope.csv"),
