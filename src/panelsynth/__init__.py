@@ -16,7 +16,6 @@ from .model import (
     LongitudinalDataset,
     SuffixHistogram,
     SyntheticStore,
-    all_suffixes,
     suffix_index,
     suffix_string,
     true_cumulative_counts,
@@ -25,7 +24,6 @@ from .model import (
 from .queries import (
     QuerySpec,
     UnsupportedWindowError,
-    debias_fraction,
     debiased_answer,
     eval_query,
     parse_queries,
@@ -57,12 +55,10 @@ __all__ = [
     "WindowSynthesizer",
     "ZCDPAccountant",
     "accuracy_of",
-    "all_suffixes",
     "compute_error_bound",
     "compute_n_pad",
     "compute_relative_error_bound",
     "cumulative_split_weights",
-    "debias_fraction",
     "debiased_answer",
     "eval_query",
     "parse_queries",

@@ -35,6 +35,10 @@ def _add_data_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sim-kind", choices=["all_ones", "bernoulli", "markov", "from_seed"],
                         help="simulate the input instead of reading a CSV")
     parser.add_argument("--n", type=int, help="population size for simulated input")
+    _add_sim_params(parser)
+
+
+def _add_sim_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=float, default=0.5, help="bernoulli rate")
     parser.add_argument("--p0", type=float, default=0.12, help="markov initial rate")
     parser.add_argument("--stay", type=float, default=0.9, help="markov stay probability")
@@ -146,6 +150,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bound(args) -> int:
     if args.mode == "window":
+        if args.k is None:
+            raise InputError("bound --mode window needs --k")
         out = {
             "mode": "window",
             "T": args.T,
@@ -205,10 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all_ones", "bernoulli", "markov", "from_seed"], default="bernoulli")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--p0", type=float, default=0.12)
-    p.add_argument("--stay", type=float, default=0.9)
-    p.add_argument("--enter", type=float, default=0.02)
+    _add_sim_params(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_simulate)
@@ -240,15 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "command", None) == "bound" and args.mode == "window" and args.k is None:
-        print("error: bound --mode window needs --k", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
-    except (InputError, UnsupportedWindowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (InputError, UnsupportedWindowError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

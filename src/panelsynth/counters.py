@@ -16,15 +16,12 @@ def tree_noise_sigma2(horizon: int, rho: float) -> Fraction:
     """Per-node noise variance ln(horizon) / (2 rho) for a tree counter.
 
     The formula gives 0 at horizon 1, which would release an exact count, so
-    a one-step counter is bumped to ln(2) / (2 rho). rho = inf is the
-    noiseless sentinel.
+    a one-step counter is bumped to ln(2) / (2 rho).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if math.isinf(rho):
-        return Fraction(0)
-    if rho <= 0:
-        raise ValueError("rho must be positive (pass noiseless=True for an exact counter)")
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite (noiseless=True gives an exact counter)")
     return Fraction(math.log(max(horizon, 2))) / (2 * Fraction(rho))
 
 
@@ -50,14 +47,11 @@ class TreeCounter:
             if rho is None:
                 raise ValueError("rho is required for a noisy counter (or pass noiseless=True)")
             self.sigma2 = tree_noise_sigma2(self.horizon, rho)
-        if self.sigma2 == 0:
-            self._sampler = None
-            self._bits = None
-        else:
             if rng is None:
                 raise ValueError("a random source is required for a noisy counter")
-            self._sampler = DiscreteGaussianSampler(self.sigma2)
-            self._bits = rng if isinstance(rng, BitSource) else BitSource(rng)
+        # at sigma2 = 0 the sampler returns 0 and reads no bits
+        self._sampler = DiscreteGaussianSampler(self.sigma2)
+        self._bits = rng if isinstance(rng, BitSource) else BitSource(rng)
         self.t = 0
         self.alpha = [0] * self.registers
         self.alpha_noisy = [0] * self.registers
@@ -77,8 +71,7 @@ class TreeCounter:
             self.alpha[j] = 0
             self.alpha_noisy[j] = 0
         self.alpha[i] = acc
-        noise = 0 if self._sampler is None else self._sampler.sample(self._bits)
-        self.alpha_noisy[i] = acc + noise
+        self.alpha_noisy[i] = acc + self._sampler.sample(self._bits)
         total = 0
         rem = t
         j = 0

@@ -144,12 +144,6 @@ class CumulativeSynthesizer:
             self.step(dataset, t)
         return self.store
 
-    def released_count(self, b: int, t: int) -> int:
-        """hat_S[b, t]: the released number of rows with weight >= b at round t."""
-        if b == 0:
-            return self.n
-        return self.bank.value(b, t)
-
     def metadata(self) -> dict:
         return {
             "T": self.cfg.T,

@@ -86,9 +86,6 @@ class ZCDPAccountant:
             total += rho
         return total
 
-    def to_approx_dp(self, delta: float) -> float:
-        return zcdp_to_approx_dp(self.total, delta)
-
 
 # --------------------------------------------------------------------------
 # Exact sampling primitives

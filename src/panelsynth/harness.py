@@ -90,16 +90,21 @@ def _chunk_values(path, linenos, records, width: int) -> np.ndarray:
                 raise InputError(f"{path}: line {lineno}: non-numeric cell {cell!r}") from None
 
 
+def _kept_records(handle, header: bool, delimiter: str):
+    """Numbered records, header and blank records skipped; numbers count records from 1."""
+    numbered = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
+    return (
+        (lineno, record) for lineno, record in numbered
+        if not (header and lineno == 1) and record and (len(record) > 1 or record[0].strip())
+    )
+
+
 def _read_blocks(path, header: bool, delimiter: str):
     """The kept rows as float64 blocks, one per chunk, and the dropped-row count."""
     blocks, dropped, width = [], 0, None
     try:
         with open(path, newline="") as handle:
-            numbered = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
-            kept = (  # line numbers count records; the header and blank records are skipped
-                (lineno, record) for lineno, record in numbered
-                if not (header and lineno == 1) and record and (len(record) > 1 or record[0].strip())
-            )
+            kept = _kept_records(handle, header, delimiter)
             while chunk := list(islice(kept, _CHUNK_RECORDS)):
                 linenos, records = zip(*chunk)
                 width = width or len(records[0])
@@ -118,6 +123,18 @@ def _read_blocks(path, header: bool, delimiter: str):
     return blocks, dropped
 
 
+def _first_non_binary(path, header: bool, delimiter: str, arr: np.ndarray):
+    """Line number and text of the first kept cell that is not 0/1; re-reads the file."""
+    row, col = divmod(int(np.argmin(np.isin(arr, (0.0, 1.0)))), arr.shape[1])
+    with open(path, newline="") as handle:
+        complete = (
+            (lineno, record) for lineno, record in _kept_records(handle, header, delimiter)
+            if not any(cell.strip().lower() in _MISSING_TOKENS for cell in record)
+        )
+        lineno, record = next(islice(complete, row, None))
+    return lineno, record[col]
+
+
 def ingest_csv(path, header: bool = False, threshold: float | None = None, delimiter: str = ","):
     """Load a rows-by-rounds numeric CSV into a dataset.
 
@@ -134,7 +151,9 @@ def ingest_csv(path, header: bool = False, threshold: float | None = None, delim
         bits = (arr < threshold).astype(np.uint8)
     else:
         if not np.isin(arr, (0.0, 1.0)).all():
-            raise InputError(f"{path}: values must be 0/1 unless a binarization threshold is given")
+            lineno, cell = _first_non_binary(path, header, delimiter, arr)
+            raise InputError(f"{path}: line {lineno}: cell {cell!r} is not 0/1; values must "
+                             "be 0/1 unless a binarization threshold is given")
         bits = arr.astype(np.uint8)
     return LongitudinalDataset.from_matrix(bits), dropped
 
@@ -324,20 +343,17 @@ def _max_error(dataset, synth) -> int:
 def _run_one_rep(manifest: RunManifest, dataset, queries, n_pad, rep: int,
                  seed: np.random.SeedSequence) -> RepOutcome:
     rng = np.random.default_rng(seed)
+    cfg = _synth_config(manifest)
+    if manifest.mode == "window":
+        synth = WindowSynthesizer(cfg, rng)
+    else:
+        synth = CumulativeSynthesizer(dataset.n, cfg, rng)
     try:
-        if manifest.mode == "window":
-            synth = WindowSynthesizer(_synth_config(manifest), rng)
-            store = synth.run(dataset, through=manifest.T)
-            answers = [
-                debiased_answer(store, q, n_pad, dataset.n, k=manifest.k, force=True)
-                for q in queries
-            ]
-        else:
-            synth = CumulativeSynthesizer(dataset.n, _synth_config(manifest), rng)
-            store = synth.run(dataset, through=manifest.T)
-            answers = [eval_query(store, q, force=True) for q in queries]
+        store = synth.run(dataset, through=manifest.T)
     except PaddingExhaustedError as exc:
         return RepOutcome(rep, False, None, None, fail_t=exc.t, fail_bin=exc.suffix)
+    # n_pad is 0 in cumulative mode, where this is the plain row average
+    answers = [debiased_answer(store, q, n_pad, dataset.n, manifest.k, force=True) for q in queries]
     if rep < manifest.save_synth:
         path = Path(manifest.out_dir) / f"synth_rep{rep}.csv"
         np.savetxt(path, store.matrix(), fmt="%d", delimiter=",")
@@ -348,22 +364,12 @@ _POOL_STATE: dict = {}
 
 
 def _pool_init(manifest, dataset, queries, n_pad):
-    _POOL_STATE["manifest"] = manifest
-    _POOL_STATE["dataset"] = dataset
-    _POOL_STATE["queries"] = queries
-    _POOL_STATE["n_pad"] = n_pad
+    _POOL_STATE["args"] = (manifest, dataset, queries, n_pad)
 
 
-def _pool_run(args):
-    rep, seed = args
-    return _run_one_rep(
-        _POOL_STATE["manifest"],
-        _POOL_STATE["dataset"],
-        _POOL_STATE["queries"],
-        _POOL_STATE["n_pad"],
-        rep,
-        seed,
-    )
+def _pool_run(task):
+    rep, seed = task
+    return _run_one_rep(*_POOL_STATE["args"], rep, seed)
 
 
 def _fmt(value) -> str:
@@ -409,8 +415,9 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
             + " (pass force_window to evaluate them anyway, tagged as unsupported)"
         )
 
+    cfg = _synth_config(manifest)
     if manifest.mode == "window":
-        n_pad = _synth_config(manifest).resolved_n_pad()
+        n_pad = cfg.resolved_n_pad()
         error_bound = (
             0.0
             if manifest.noiseless
@@ -422,7 +429,7 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
         if manifest.noiseless:
             error_bound, alpha_star = 0.0, 0.0
         else:
-            alpha_star, _ = accuracy_of(_synth_config(manifest), dataset.n, manifest.beta)
+            alpha_star, _ = accuracy_of(cfg, dataset.n, manifest.beta)
             error_bound = alpha_star * dataset.n
 
     truth = [eval_query(dataset, q, force=True) for q in queries]
@@ -439,6 +446,16 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
         outcomes = [
             _run_one_rep(manifest, dataset, queries, n_pad, rep, seed) for rep, seed in tasks
         ]
+    result = ExperimentResult(
+        out_dir=out_dir,
+        n=dataset.n,
+        n_pad=n_pad if manifest.mode == "window" else None,
+        error_bound=error_bound,
+        truth=truth,
+        outcomes=outcomes,
+        summary_rows=[],
+        unsupported=sorted(set(unsupported)),
+    )
 
     answer_rows = []
     for outcome in outcomes:
@@ -448,31 +465,26 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
             answer_rows.append((q.query_id, q.t, outcome.rep, value))
     _write_csv(out_dir / "answers.csv", ["query", "t", "repetition", "value"], answer_rows)
 
-    summary_rows = []
-    matrix = np.array(
-        [o.answers for o in outcomes if o.ok], dtype=float
-    ) if any(o.ok for o in outcomes) else np.zeros((0, len(queries)))
+    summary_header = ["query", "t", "reps", "truth", "mean", "std", "p2_5", "median", "p97_5",
+                      "supported"]
+    answers = result.answers
     for idx, q in enumerate(queries):
-        column = matrix[:, idx] if matrix.size else np.array([])
-        row = {
-            "query": q.query_id,
-            "t": q.t,
-            "reps": int(column.size),
-            "truth": truth[idx],
-            "mean": float(column.mean()) if column.size else math.nan,
-            "std": float(column.std(ddof=1)) if column.size > 1 else math.nan,
-            "p2_5": float(np.percentile(column, 2.5)) if column.size else math.nan,
-            "median": float(np.percentile(column, 50)) if column.size else math.nan,
-            "p97_5": float(np.percentile(column, 97.5)) if column.size else math.nan,
-            "supported": int(supported[idx]),
-        }
-        summary_rows.append(row)
-    _write_csv(
-        out_dir / "summary.csv",
-        list(summary_rows[0].keys()) if summary_rows else
-        ["query", "t", "reps", "truth", "mean", "std", "p2_5", "median", "p97_5", "supported"],
-        [list(r.values()) for r in summary_rows],
-    )
+        column = answers[:, idx]
+        values = (
+            q.query_id,
+            q.t,
+            int(column.size),
+            truth[idx],
+            float(column.mean()) if column.size else math.nan,
+            float(column.std(ddof=1)) if column.size > 1 else math.nan,
+            float(np.percentile(column, 2.5)) if column.size else math.nan,
+            float(np.percentile(column, 50)) if column.size else math.nan,
+            float(np.percentile(column, 97.5)) if column.size else math.nan,
+            int(supported[idx]),
+        )
+        result.summary_rows.append(dict(zip(summary_header, values)))
+    _write_csv(out_dir / "summary.csv", summary_header,
+               [list(r.values()) for r in result.summary_rows])
 
     _write_csv(
         out_dir / "errors.csv",
@@ -493,10 +505,9 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
     _write_csv(
         out_dir / "failures.csv",
         ["repetition", "round", "bin"],
-        [(o.rep, o.fail_t, o.fail_bin if o.fail_bin is not None else "") for o in outcomes if not o.ok],
+        [(o.rep, o.fail_t, o.fail_bin if o.fail_bin is not None else "") for o in result.failures],
     )
 
-    failures = [o for o in outcomes if not o.ok]
     metadata = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
@@ -506,12 +517,8 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
         "rho": manifest.rho,
         "beta_target": manifest.beta_target,
         "beta": manifest.beta,
-        "n_pad": n_pad if manifest.mode == "window" else None,
-        "schedule": (
-            list(_synth_config(manifest).resolved_schedule())
-            if manifest.mode == "cumulative"
-            else None
-        ),
+        "n_pad": result.n_pad,
+        "schedule": list(cfg.resolved_schedule()) if manifest.mode == "cumulative" else None,
         "counter_kind": "tree" if manifest.mode == "cumulative" else None,
         "alpha_star": alpha_star,
         "error_bound": error_bound,
@@ -531,23 +538,13 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
             "threshold": manifest.threshold,
         },
         "queries": [q.to_dict() for q in queries],
-        "unsupported_queries": sorted(set(unsupported)),
+        "unsupported_queries": result.unsupported,
         "predicted_failure_rate": manifest.beta_target if manifest.mode == "window" else 0.0,
-        "observed_failures": len(failures),
-        "observed_failure_rate": len(failures) / manifest.reps,
+        "observed_failures": len(result.failures),
+        "observed_failure_rate": len(result.failures) / manifest.reps,
         "wall_time_s": time.perf_counter() - started,
     }
     with open(out_dir / "metadata.json", "w") as handle:
         json.dump(metadata, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-    return ExperimentResult(
-        out_dir=out_dir,
-        n=dataset.n,
-        n_pad=n_pad if manifest.mode == "window" else None,
-        error_bound=error_bound,
-        truth=truth,
-        outcomes=outcomes,
-        summary_rows=summary_rows,
-        unsupported=sorted(set(unsupported)),
-    )
+    return result

@@ -17,7 +17,6 @@ __all__ = [
     "RowGroups",
     "SuffixHistogram",
     "SyntheticStore",
-    "all_suffixes",
     "mark_random_subset",
     "suffix_index",
     "suffix_string",
@@ -40,11 +39,6 @@ def suffix_string(code: int, k: int) -> str:
     if not 0 <= code < (1 << k):
         raise ValueError(f"code {code} out of range for k={k}")
     return format(code, f"0{k}b")
-
-
-def all_suffixes(k: int) -> list[str]:
-    """All 2**k suffix keys of length k in lexicographic order."""
-    return [suffix_string(code, k) for code in range(1 << k)]
 
 
 def _bit_copy(col: np.ndarray, what: str) -> np.ndarray:
@@ -91,9 +85,6 @@ class SuffixHistogram:
 
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def as_dict(self) -> dict[str, int]:
-        return {suffix_string(c, self.k): int(v) for c, v in enumerate(self.counts)}
 
 
 class LongitudinalDataset:

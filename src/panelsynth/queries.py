@@ -16,7 +16,6 @@ from .model import suffix_index
 __all__ = [
     "QuerySpec",
     "UnsupportedWindowError",
-    "debias_fraction",
     "debiased_answer",
     "eval_query",
     "is_supported",
@@ -163,52 +162,14 @@ def is_supported(q: QuerySpec, k: int | None) -> bool:
     return length is not None and length <= k
 
 
-def _check_supported(q: QuerySpec, supported_k, force: bool) -> None:
-    length = q.window_length
-    if length is None or supported_k is None or force or is_supported(q, supported_k):
-        return
-    raise UnsupportedWindowError(
-        f"query {q.query_id} looks at a window of {length} rounds but the "
-        f"synthesizer preserves windows up to k={supported_k}; pass force=True "
-        "to evaluate anyway (the answer carries no accuracy guarantee)"
-    )
-
-
 def eval_query(data, q: QuerySpec, supported_k: int | None = None, force: bool = False) -> float:
-    """Evaluate a query by exact averaging over rows.
+    """Evaluate a query by exact averaging over rows: :func:`debiased_answer` with no padding.
 
     data is a real or synthetic LongitudinalDataset. supported_k, when given,
     refuses window/linear queries wider than the synthesizer's window unless
     force is set.
     """
-    if q.t > data.t_max:
-        raise ValueError(f"query round {q.t} exceeds available rounds ({data.t_max})")
-    _check_supported(q, supported_k, force)
-    if q.kind == "window":
-        hist = data.suffix_histogram(len(q.s), q.t)
-        return hist[q.s] / data.n
-    if q.kind == "cumulative":
-        if q.b == 0:
-            return 1.0
-        if q.b > q.t:
-            return 0.0
-        return int(data.cumulative_counts(q.t)[q.b]) / data.n
-    hist = data.suffix_histogram(q.window_length, q.t)
-    numerator = 0.0
-    for s, w in q.weights:
-        numerator += w * hist[s]
-    return numerator / data.n
-
-
-def debias_fraction(raw_count: int, n_pad: int, n: int) -> float:
-    """Fraction estimate (raw_count - n_pad) / n for one width-k bin.
-
-    May be negative; it is reported as-is because clamping to [0, 1] would
-    reintroduce bias. Analysts may post-clamp.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return (raw_count - n_pad) / n
+    return debiased_answer(data, q, 0, data.n, supported_k, force)
 
 
 def debiased_answer(
@@ -219,18 +180,31 @@ def debiased_answer(
     k: int | None = None,
     force: bool = False,
 ) -> float:
-    """Padding-corrected answer on a window-synthesized store.
+    """Padding-corrected answer on a panel; a raw panel is the case n_pad = 0.
 
-    Each width-k bin carries n_pad padding records, so a width-L window bin
-    (L <= k) aggregates 2**(k-L) of them. Cumulative stores carry no padding;
-    call with n_pad=0 (or evaluate directly).
+    Each width-k bin of a window-synthesized store carries n_pad padding
+    records, so a width-L window bin (L <= k) aggregates 2**(k-L) of them, and
+    window and linear answers divide by the public population size n. The
+    estimate may be negative: clamping to [0, 1] would reintroduce bias.
+    Cumulative answers carry no padding and divide by the store's own row
+    count. k, when given, refuses window/linear queries wider than k unless
+    force is set.
     """
     if q.t > store.t_max:
-        raise ValueError(f"query round {q.t} exceeds released rounds ({store.t_max})")
-    _check_supported(q, k, force)
-    if q.kind == "cumulative":
-        return eval_query(store, q)
+        raise ValueError(f"query round {q.t} exceeds available rounds ({store.t_max})")
     length = q.window_length
+    if length is not None and k is not None and not force and not is_supported(q, k):
+        raise UnsupportedWindowError(
+            f"query {q.query_id} looks at a window of {length} rounds but the "
+            f"synthesizer preserves windows up to k={k}; pass force=True "
+            "to evaluate anyway (the answer carries no accuracy guarantee)"
+        )
+    if q.kind == "cumulative":
+        if q.b == 0:
+            return 1.0
+        if q.b > q.t:
+            return 0.0
+        return int(store.cumulative_counts(q.t)[q.b]) / store.n
     pad = n_pad * (2.0 ** ((k if k is not None else length) - length))
     hist = store.suffix_histogram(length, q.t)
     if q.kind == "window":

@@ -171,33 +171,26 @@ class WindowSynthesizer:
         self._bits = BitSource(noise_rng)
         self._select = select_rng
         self.n_pad = cfg.resolved_n_pad()
-        if cfg.noiseless:
-            self._sampler = None
-        else:
-            self._sampler = DiscreteGaussianSampler(
-                Fraction(cfg.update_steps) / (2 * Fraction(cfg.rho))
-            )
+        self._sampler = DiscreteGaussianSampler(
+            0 if cfg.noiseless else Fraction(cfg.update_steps) / (2 * Fraction(cfg.rho))
+        )
         self.accountant = ZCDPAccountant()
         self.store: SyntheticStore | None = None
         self.m: int | None = None
         self.t = 0
-        self._p: np.ndarray | None = None  # synthetic counts per k-bit bin code
-        self.released: list[np.ndarray] = []
+        self.released: list[np.ndarray] = []  # synthetic counts per k-bit bin code
         # per-row code of the trailing k-1 bits, in the smallest unsigned dtype
         # that holds it: keys of at most 16 bits take numpy's radix argsort
         self._state: np.ndarray | None = None
 
     @property
     def sigma2(self) -> Fraction:
-        return Fraction(0) if self._sampler is None else self._sampler.sigma2
-
-    def _noise(self) -> int:
-        return 0 if self._sampler is None else self._sampler.sample(self._bits)
+        return self._sampler.sigma2
 
     def _noisy_counts(self, true: np.ndarray, t: int) -> np.ndarray:
         out = np.empty(true.shape, dtype=np.int64)
         for code in range(true.size):
-            out[code] = int(true[code]) + self.n_pad + self._noise()
+            out[code] = int(true[code]) + self.n_pad + self._sampler.sample(self._bits)
         if not self.cfg.noiseless:
             self.accountant.charge(f"histogram@t={t}", self.cfg.per_step_rho())
         return out
@@ -228,7 +221,6 @@ class WindowSynthesizer:
             self.store.append_column((codes >> (k - j)) & 1)
         overlap = (1 << (k - 1)) - 1
         self._state = (codes & overlap).astype(np.min_scalar_type(overlap))
-        self._p = c_hat
         self.released.append(c_hat)
         self.t = k
         return self.store.matrix()
@@ -252,7 +244,7 @@ class WindowSynthesizer:
         half = 1 << (k - 1)
         # rows ending in overlap z entered round t-1 with suffix 0z or 1z; the
         # groups are checked before any budget is charged or noise is drawn
-        masses = self._p[:half] + self._p[half:]
+        masses = self.released[-1][:half] + self.released[-1][half:]
         groups = RowGroups(self._state, masses, f"round {t}: overlap group")
         c_hat = self._noisy_counts(true, t)
         p_new = np.empty(1 << k, dtype=np.int64)
@@ -275,7 +267,6 @@ class WindowSynthesizer:
         self._state <<= 1
         self._state |= column
         self._state &= half - 1
-        self._p = p_new
         self.released.append(p_new)
         self.store.append_column(column)
         self.t = t
@@ -294,9 +285,9 @@ class WindowSynthesizer:
 
     def histogram(self) -> SuffixHistogram:
         """Synthetic suffix counts p at the last published round."""
-        if self._p is None:
+        if not self.released:
             raise RuntimeError("synthesizer has not published any round yet")
-        return SuffixHistogram(self.cfg.k, self._p.copy())
+        return SuffixHistogram(self.cfg.k, self.released[-1].copy())
 
     def metadata(self) -> dict:
         """Public release parameters. n_pad is published so analysts can debias."""

@@ -56,6 +56,7 @@ def ingest_csv_reference(path, header: bool = False, threshold: float | None = N
     harness.ingest_csv, which converts each chunk of records in one call.
     """
     rows: list[list[float]] = []
+    sources: list[tuple[int, list[str]]] = []  # (line number, record) of each kept row
     dropped = 0
     width: int | None = None
     with open(path, newline="") as handle:
@@ -86,14 +87,18 @@ def ingest_csv_reference(path, header: bool = False, threshold: float | None = N
                 dropped += 1
                 continue
             rows.append(values)
+            sources.append((lineno, record))
     if not rows:
         raise InputError(f"{path}: no usable rows")
     arr = np.array(rows, dtype=float)
     if threshold is not None:
         bits = (arr < threshold).astype(np.uint8)
     else:
-        if not np.isin(arr, (0.0, 1.0)).all():
-            raise InputError(f"{path}: values must be 0/1 unless a binarization threshold is given")
+        for (lineno, record), values in zip(sources, rows):
+            for cell, value in zip(record, values):
+                if value not in (0.0, 1.0):
+                    raise InputError(f"{path}: line {lineno}: cell {cell!r} is not 0/1; values "
+                                     "must be 0/1 unless a binarization threshold is given")
         bits = arr.astype(np.uint8)
     return LongitudinalDataset.from_matrix(bits), dropped
 

@@ -28,12 +28,15 @@ class TestTreeNoiseScale:
         assert float(tree_noise_sigma2(1, 0.5)) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_noiseless_sentinel(self):
-        assert tree_noise_sigma2(8, math.inf) == 0
-        assert TreeCounter(8, noiseless=True).sigma2 == 0
+        # noiseless is sigma2 = 0: the counter needs no random source and its sampler draws 0
+        counter = TreeCounter(8, noiseless=True)
+        assert counter.sigma2 == 0
+        assert [counter.feed(1) for _ in range(8)] == list(range(1, 9))
 
     def test_rejects_zero_rho(self):
-        with pytest.raises(ValueError):
-            tree_noise_sigma2(8, 0.0)
+        for rho in (0.0, math.inf, math.nan):  # infinity is not a noiseless sentinel
+            with pytest.raises(ValueError):
+                tree_noise_sigma2(8, rho)
 
 
 class TestTreeCounterExact:

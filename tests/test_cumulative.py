@@ -116,7 +116,7 @@ class TestNoisyRunInvariants:
     def test_released_answers_monotone_in_t(self):
         _, synth, store = self._run(3)
         for b in range(1, store.t_max + 1):
-            series = [synth.released_count(b, t) for t in range(b, store.t_max + 1)]
+            series = [synth.bank.value(b, t) for t in range(b, store.t_max + 1)]
             assert all(x <= y for x, y in zip(series, series[1:]))
 
     def test_monotonization_never_expands_error(self):

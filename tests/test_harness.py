@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import ingest_csv_reference, random_dataset
 from panelsynth import harness
-from panelsynth.cli import main
+from panelsynth.cli import build_parser, main
 from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
 from panelsynth.harness import (
     _CHUNK_RECORDS,
@@ -174,6 +174,15 @@ class TestIngestMatchesReference:
         line = _CHUNK_RECORDS + (bad if reported == "bad" else ragged)
         assert got.endswith(f"line {line}: non-numeric cell 'x'" if reported == "bad"
                             else f"line {line} has 3 columns, expected 2")
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("bad", [" 2 ", "0.5", "-nan", "inf"])
+    def test_non_binary_cell_names_its_line(self, tmp_path, header, bad):
+        # dropped and blank records before it must not shift the line found
+        lines = ["0,1", "1,NA"] * _CHUNK_RECORDS + ["", "0,1", f"1,{bad}", "2,0"]
+        got = self._both(tmp_path / "d.csv", lines, header=header)
+        assert got.endswith(f"line {2 * _CHUNK_RECORDS + 3}: cell {bad!r} is not 0/1; values "
+                            "must be 0/1 unless a binarization threshold is given")
 
     def test_peak_memory_is_a_few_matrices(self, tmp_path):
         # SIPP-sized numeric input; a list of every cell of the file peaks near 13x
@@ -406,6 +415,25 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["schedule"]) == 12
         assert payload["beta_star"] == pytest.approx(0.6)
+
+    def test_bound_window_needs_k(self, capsys):
+        rc = main(["bound", "--mode", "window", "--T", "12", "--rho", "0.005"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: bound --mode window needs --k\n"
+
+    def test_simulate_takes_the_data_source_parameters(self, tmp_path):
+        parser = build_parser()
+        base = ["--n", "3", "--T", "2"]
+        sim = parser.parse_args(["simulate", "--kind", "markov", *base, "--out", "x"])
+        source = parser.parse_args(["synth-cumulative", "--sim-kind", "markov", *base,
+                                    "--out", "x"])
+        names = ("sim_kind", "p", "p0", "stay", "enter")
+        assert [getattr(sim, a) for a in names] == [getattr(source, a) for a in names]
+        assert [getattr(sim, a) for a in names] == ["markov", 0.5, 0.12, 0.9, 0.02]
+        out = tmp_path / "sim.csv"
+        rc = main(["simulate", "--kind", "bernoulli", "--p", "1", *base, "--out", str(out)])
+        assert rc == 0
+        assert out.read_text() == "1,1\n1,1\n1,1\n"
 
     def test_input_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cumulative_from_window_oracle, random_dataset
 from panelsynth.model import LongitudinalDataset, SyntheticStore
 from panelsynth.queries import (
     QuerySpec,
     UnsupportedWindowError,
-    debias_fraction,
     debiased_answer,
     eval_query,
     is_supported,
     parse_queries,
 )
+from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
 from panelsynth.window import WindowSynthConfig, WindowSynthesizer
 
 
@@ -119,13 +121,22 @@ class TestUnsupportedWindow:
         assert eval_query(store, QuerySpec.cumulative(1, 1), supported_k=1) == 0.5
 
 
+def _one_round(ones: int, zeros: int) -> LongitudinalDataset:
+    return LongitudinalDataset.from_matrix([[1]] * ones + [[0]] * zeros)
+
+
 class TestDebias:
     def test_reference_values(self):
-        assert debias_fraction(140, 135, 1000) == pytest.approx(0.005)
-        assert debias_fraction(135, 135, 123) == 0.0
+        q = QuerySpec.window("1", 1)
+        assert debiased_answer(_one_round(140, 60), q, 135, 1000, k=1) == pytest.approx(0.005)
+        assert debiased_answer(_one_round(135, 60), q, 135, 123, k=1) == 0.0
 
     def test_may_go_negative(self):
-        assert debias_fraction(100, 135, 1000) < 0
+        # the estimate is reported unclamped: 100 rows against 135 padding records
+        q = QuerySpec.window("1", 1)
+        assert debiased_answer(_one_round(100, 300), q, 135, 1000, k=1) == -35 / 1000
+        linear = QuerySpec.linear({"0": 1.0, "1": 2.0}, 1)
+        assert debiased_answer(_one_round(100, 130), linear, 135, 1000, k=1) == -75 / 1000
 
     def test_noiseless_run_debiases_exactly(self):
         rng = np.random.default_rng(8)
@@ -175,3 +186,79 @@ class TestReductionOracle:
         ds = LongitudinalDataset.from_matrix(np.ones((2, 14), dtype=int))
         with pytest.raises(ValueError, match="capped"):
             cumulative_from_window_oracle(ds, 1, 14)
+
+
+@st.composite
+def _panel_and_query(draw):
+    """A random panel and a window, cumulative or linear query, possibly past its rounds."""
+    n, T = draw(st.integers(1, 30)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    data = LongitudinalDataset.from_matrix(np.random.default_rng(seed).integers(0, 2, (n, T)))
+    t = draw(st.integers(1, T + 1))
+    kind = draw(st.sampled_from(["window", "cumulative", "linear"]))
+    if kind == "cumulative":
+        return data, QuerySpec.cumulative(draw(st.integers(0, t + 1)), t)
+    length = draw(st.integers(1, min(t, 4)))
+    keys = st.text("01", min_size=length, max_size=length)
+    if kind == "window":
+        return data, QuerySpec.window(draw(keys), t)
+    weights = st.dictionaries(keys, st.floats(-4, 4), min_size=1, max_size=4)
+    return data, QuerySpec.linear(draw(weights), t)
+
+
+def _row_count_answer(data, q) -> float:
+    """The query's answer counted row by row from the panel's bit matrix."""
+    bits = data.matrix()[:, : q.t].astype(int)
+    if q.kind == "cumulative":
+        return float((bits.sum(axis=1) >= q.b).mean())
+    length = q.window_length
+    codes = bits[:, q.t - length:] @ (1 << np.arange(length)[::-1])
+    weights = ((q.s, 1.0),) if q.kind == "window" else q.weights
+    return sum(w * int((codes == int(s, 2)).sum()) for s, w in weights) / data.n
+
+
+class TestOneEvaluator:
+    """eval_query is debiased_answer with no padding, on every query kind."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_panel_and_query(), st.sampled_from([None, 1, 2, 3]), st.booleans())
+    def test_eval_query_is_unpadded_debiased_answer(self, panel_and_query, k, force):
+        data, q = panel_and_query
+        try:
+            got = eval_query(data, q, k, force)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as other:
+                debiased_answer(data, q, 0, data.n, k, force)
+            assert type(other.value) is type(exc)
+            assert q.t > data.t_max or isinstance(exc, UnsupportedWindowError)
+            return
+        assert got == debiased_answer(data, q, 0, data.n, k, force)
+        assert type(got) is type(debiased_answer(data, q, 0, data.n, k, force))
+        assert got == pytest.approx(_row_count_answer(data, q), abs=1e-12)
+
+    def test_forced_cumulative_on_window_store_divides_by_m(self):
+        data = random_dataset(np.random.default_rng(4), 200, 6, p=0.3)
+        synth = WindowSynthesizer(WindowSynthConfig(T=6, k=3, rho=0.5), np.random.default_rng(5))
+        store = synth.run(data)
+        assert store.m != data.n
+        q = QuerySpec.cumulative(2, 6)
+        expected = int(store.cumulative_counts(6)[2]) / store.m
+        assert debiased_answer(store, q, synth.n_pad, data.n, k=3, force=True) == expected
+        assert eval_query(store, q, force=True) == expected
+
+    def test_forced_window_and_linear_on_cumulative_store(self):
+        data = random_dataset(np.random.default_rng(6), 120, 5, p=0.4)
+        synth = CumulativeSynthesizer(data.n, CumulativeSynthConfig(T=5, rho=1.0),
+                                      np.random.default_rng(7))
+        store = synth.run(data)
+        hist = store.suffix_histogram(2, 4)
+        window = QuerySpec.window("10", 4)
+        linear = QuerySpec.linear({"01": 1.0, "11": -0.5}, 4)
+        expected = {window: hist["10"] / data.n,
+                    linear: (1.0 * hist["01"] + -0.5 * hist["11"]) / data.n}
+        for q, value in expected.items():
+            with pytest.raises(UnsupportedWindowError):
+                debiased_answer(store, q, 0, data.n, k=1)
+            assert debiased_answer(store, q, 0, data.n, force=True) == value
+            assert debiased_answer(store, q, 0, data.n, k=1, force=True) == value
+            assert eval_query(store, q, force=True) == value

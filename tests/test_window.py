@@ -252,8 +252,8 @@ class TestReleaseInvariant:
         ds = random_dataset(rng, 40, 5, p=0.5)
         synth = WindowSynthesizer(WindowSynthConfig(T=5, k=3, noiseless=True), rng)
         synth.init(ds)
-        synth._p[0] += d0
-        synth._p[1] += d1
+        synth.released[-1][0] += d0
+        synth.released[-1][1] += d1
         with pytest.raises(RuntimeError, match="group sizes"):
             synth.step(ds, 4)
         assert synth.store.t_max == 3
@@ -265,7 +265,7 @@ class TestReleaseInvariant:
         synth.init(ds)
         entries = list(synth.accountant.entries)
         spent = synth.metadata()["rho_spent"]
-        synth._p[0] += 2
+        synth.released[-1][0] += 2
         with pytest.raises(RuntimeError, match="round 4: .*group sizes"):
             synth.step(ds, 4)
         assert synth.accountant.entries == entries
