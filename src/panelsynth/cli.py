@@ -14,10 +14,9 @@ import numpy as np
 
 from . import __version__
 from .cumulative import CumulativeSynthConfig, accuracy_of
-from .dp import split_cumulative
 from .harness import InputError, RunManifest, ingest_csv, run_experiment, simulate_dataset
-from .queries import UnsupportedWindowError, eval_query, parse_queries
-from .window import compute_error_bound, compute_n_pad, compute_relative_error_bound
+from .queries import eval_query, parse_queries
+from .window import WindowSynthConfig, compute_relative_error_bound
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -55,7 +54,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--noiseless", action="store_true", help="exact mode (no noise, no padding)")
     parser.add_argument("--force-window", action="store_true",
                         help="evaluate queries the synthesizer does not preserve (tagged unsupported)")
-    parser.add_argument("--beta", type=float, default=0.05,
+    parser.add_argument("--beta", type=float, default=RunManifest.beta,
                         help="failure probability for the reported error bound")
     parser.add_argument("--workers", type=int, default=1, help="parallel repetition workers")
     parser.add_argument("--save-synth", type=int, default=0,
@@ -78,24 +77,30 @@ def _load_queries(spec: str | None):
         is_file = path.exists()
     except OSError:  # e.g. inline JSON longer than the file-name limit
         is_file = False
-    if is_file:
-        return parse_queries(path.read_text())
-    return parse_queries(spec)
+    try:
+        return parse_queries(path.read_text() if is_file else spec)
+    except ValueError as exc:  # JSONDecodeError included
+        raise InputError(f"--queries is neither a file nor a valid query list: {exc}") from None
+
+
+def _engine_config(args, mode: str) -> WindowSynthConfig | CumulativeSynthConfig:
+    """The engine config the flags describe; one the engine refuses is unusable input."""
+    try:
+        if mode == "window":
+            return WindowSynthConfig(T=args.T, k=args.k, rho=args.rho, beta_target=args.beta_target,
+                                     n_pad=args.n_pad, noiseless=args.noiseless)
+        return CumulativeSynthConfig(T=args.T, rho=args.rho, noiseless=args.noiseless)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _manifest_from_args(args, mode: str) -> RunManifest:
     return RunManifest(
-        mode=mode,
-        T=args.T,
-        k=getattr(args, "k", None),
-        rho=args.rho,
-        beta_target=getattr(args, "beta_target", 0.01),
-        n_pad=getattr(args, "n_pad", None),
+        synth=_engine_config(args, mode),
         reps=args.reps,
         seed=args.seed,
         out_dir=args.out,
         queries=_load_queries(args.queries),
-        noiseless=args.noiseless,
         force_window=args.force_window,
         beta=args.beta,
         workers=args.workers,
@@ -135,10 +140,11 @@ def _cmd_eval(args) -> int:
     queries = _load_queries(args.queries)
     if not queries:
         raise InputError("eval needs a non-empty --queries list")
-    rows = []
-    for q in queries:
-        value = eval_query(dataset, q, supported_k=args.window_limit, force=args.force_window)
-        rows.append((q.query_id, q.t, value))
+    try:
+        rows = [(q.query_id, q.t, eval_query(dataset, q, args.window_limit, args.force_window))
+                for q in queries]
+    except ValueError as exc:  # a round past the data, or a refused window
+        raise InputError(str(exc)) from None
     lines = ["query,t,value"] + [f"{qid},{t},{v!r}" for qid, t, v in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -149,36 +155,24 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    """The guarantees a sweep's metadata.json would record, from the same config methods."""
+    if args.mode == "window" and args.k is None:
+        raise InputError("bound --mode window needs --k")
+    cfg = _engine_config(args, args.mode)
+    public, guarantee = cfg.public(), cfg.guarantee(args.n or 1, args.beta)
+    # the parameters this mode defines; the others are None in public()
+    keys = ("mode", "T", "k", "rho", "beta_target", "n_pad", "schedule")
+    out = {key: public[key] for key in keys if public[key] is not None}
+    out["beta"] = args.beta
     if args.mode == "window":
-        if args.k is None:
-            raise InputError("bound --mode window needs --k")
-        out = {
-            "mode": "window",
-            "T": args.T,
-            "k": args.k,
-            "rho": args.rho,
-            "beta": args.beta,
-            "beta_target": args.beta_target,
-            "n_pad": compute_n_pad(args.T, args.k, args.rho, args.beta_target),
-            "max_additive_error_bound": compute_error_bound(args.T, args.k, args.rho, args.beta),
-        }
+        out["max_additive_error_bound"] = guarantee["error_bound"]
         if args.n:
             out["max_relative_error_bound"] = compute_relative_error_bound(
                 args.T, args.k, args.rho, args.beta, args.n, args.c_frac
             )
     else:
-        cfg = CumulativeSynthConfig(T=args.T, rho=args.rho)
-        alpha_star, beta_star = accuracy_of(cfg, args.n or 1, args.beta)
-        out = {
-            "mode": "cumulative",
-            "T": args.T,
-            "rho": args.rho,
-            "beta": args.beta,
-            "n": args.n or 1,
-            "alpha_star": alpha_star,
-            "beta_star": beta_star,
-            "schedule": split_cumulative(args.rho, args.T).tolist(),
-        }
+        out.update(n=args.n or 1, alpha_star=guarantee["alpha_star"],
+                   beta_star=accuracy_of(cfg, args.n or 1, args.beta)[1])
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -196,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_source(p)
     _add_run_options(p)
     p.add_argument("--k", type=int, required=True, help="window length")
-    p.add_argument("--beta-target", type=float, default=0.01,
+    p.add_argument("--beta-target", type=float, default=WindowSynthConfig.beta_target,
                    help="padding failure probability target")
     p.add_argument("--n-pad", type=int, help="override the derived padding per bin")
     p.set_defaults(func=lambda a: _cmd_synth(a, "window"))
@@ -232,11 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--k", type=int, help="window length (window mode)")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--beta", type=float, default=0.05)
-    p.add_argument("--beta-target", type=float, default=0.01)
+    p.add_argument("--beta", type=float, default=RunManifest.beta)
+    p.add_argument("--beta-target", type=float, default=WindowSynthConfig.beta_target)
     p.add_argument("--n", type=int)
     p.add_argument("--c-frac", type=float, default=1.0)
-    p.set_defaults(func=_cmd_bound)
+    p.set_defaults(func=_cmd_bound, n_pad=None, noiseless=False)
 
     return parser
 
@@ -245,7 +239,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, UnsupportedWindowError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

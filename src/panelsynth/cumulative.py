@@ -42,6 +42,24 @@ class CumulativeSynthConfig:
             return (0.0,) * self.T
         return tuple(split_cumulative(self.rho, self.T).tolist())
 
+    def public(self) -> dict:
+        """Public engine parameters for metadata.json; no window, padding or padding failure."""
+        return {"mode": "cumulative", "T": self.T, "k": None, "rho": self.rho,
+                "beta_target": None, "n_pad": None, "noiseless": self.noiseless,
+                "schedule": list(self.resolved_schedule()), "counter_kind": "tree",
+                "predicted_failure_rate": 0.0}
+
+    def guarantee(self, n: int, beta: float) -> dict:
+        """alpha_star of :func:`accuracy_of` and its count-scale error bound alpha_star * n."""
+        if self.noiseless:
+            return {"error_bound": 0.0, "alpha_star": 0.0}
+        alpha_star, _ = accuracy_of(self, n, beta)
+        return {"error_bound": alpha_star * n, "alpha_star": alpha_star}
+
+    def synthesizer(self, n: int, rng=None) -> "CumulativeSynthesizer":
+        """A fresh engine for this config over a population of n rows."""
+        return CumulativeSynthesizer(n, self, rng)
+
 
 def accuracy_of(cfg: CumulativeSynthConfig, n: int, beta: float) -> tuple[float, float]:
     """Fraction-scale guarantee (alpha_star, beta_star) for the budget split.
@@ -145,12 +163,4 @@ class CumulativeSynthesizer:
         return self.store
 
     def metadata(self) -> dict:
-        return {
-            "T": self.cfg.T,
-            "rho": self.cfg.rho,
-            "schedule": list(self.schedule),
-            "counter_kind": "tree",
-            "noiseless": self.cfg.noiseless,
-            "n": self.n,
-            "rho_spent": self.accountant.total,
-        }
+        return {**self.cfg.public(), "n": self.n, "rho_spent": self.accountant.total}

@@ -29,10 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cumulative import CumulativeSynthConfig, CumulativeSynthesizer, accuracy_of
+from .cumulative import CumulativeSynthConfig
 from .model import LongitudinalDataset, true_cumulative_counts, true_suffix_histogram
 from .queries import QuerySpec, debiased_answer, eval_query, is_supported
-from .window import PaddingExhaustedError, WindowSynthConfig, WindowSynthesizer, compute_error_bound
+from .window import PaddingExhaustedError, WindowSynthConfig, WindowSynthesizer
 
 __all__ = [
     "ExperimentResult",
@@ -199,22 +199,17 @@ def simulate_dataset(kind: str, n: int, T: int, rng=None, *, p: float = 0.5,
 class RunManifest:
     """Everything needed to reproduce a sweep; echoed into metadata.json.
 
+    synth is the engine config, which also fixes the mode and the horizon T.
     Seeds for repetition r derive deterministically from the base seed:
     SeedSequence(seed).spawn(reps + 1) yields the simulated-data stream
     (child 0) followed by one stream per repetition.
     """
 
-    mode: str                       # "window" or "cumulative"
-    T: int
-    rho: float
-    k: int | None = None            # window mode only
-    beta_target: float = 0.01
-    n_pad: int | None = None
+    synth: WindowSynthConfig | CumulativeSynthConfig
     reps: int = 1
     seed: int = 0
     out_dir: str = "out"
     queries: list[QuerySpec] = field(default_factory=list)
-    noiseless: bool = False
     force_window: bool = False
     beta: float = 0.05              # failure probability for the reported bound
     workers: int = 1
@@ -228,10 +223,6 @@ class RunManifest:
     sim_params: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.mode not in ("window", "cumulative"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        if self.mode == "window" and self.k is None:
-            raise InputError("window mode needs a window length k")
         if (self.data_path is None) == (self.sim_kind is None):
             raise InputError("specify exactly one data source (a CSV path or a simulation kind)")
         if self.sim_kind is not None and self.n is None:
@@ -283,19 +274,6 @@ class ExperimentResult:
         return all(not o.ok for o in self.outcomes)
 
 
-def _synth_config(manifest: RunManifest):
-    if manifest.mode == "window":
-        return WindowSynthConfig(
-            T=manifest.T,
-            k=manifest.k,
-            rho=manifest.rho,
-            beta_target=manifest.beta_target,
-            n_pad=manifest.n_pad,
-            noiseless=manifest.noiseless,
-        )
-    return CumulativeSynthConfig(T=manifest.T, rho=manifest.rho, noiseless=manifest.noiseless)
-
-
 def _materialize_dataset(manifest: RunManifest, data_seed: np.random.SeedSequence):
     if manifest.data_path is not None:
         dataset, dropped = ingest_csv(
@@ -306,15 +284,15 @@ def _materialize_dataset(manifest: RunManifest, data_seed: np.random.SeedSequenc
         dataset = simulate_dataset(
             manifest.sim_kind,
             manifest.n,
-            manifest.T,
+            manifest.synth.T,
             np.random.default_rng(data_seed),
             **manifest.sim_params,
         )
         dropped = 0
         source = f"simulate:{manifest.sim_kind}"
-    if dataset.t_max < manifest.T:
+    if dataset.t_max < manifest.synth.T:
         raise InputError(
-            f"data has {dataset.t_max} rounds but the manifest horizon is T={manifest.T}"
+            f"data has {dataset.t_max} rounds but the manifest horizon is T={manifest.synth.T}"
         )
     return dataset, dropped, source
 
@@ -340,20 +318,16 @@ def _max_error(dataset, synth) -> int:
     return max(int(np.abs(released - true).max()) for released, true in pairs)
 
 
-def _run_one_rep(manifest: RunManifest, dataset, queries, n_pad, rep: int,
+def _run_one_rep(manifest: RunManifest, dataset, queries, public: dict, rep: int,
                  seed: np.random.SeedSequence) -> RepOutcome:
-    rng = np.random.default_rng(seed)
-    cfg = _synth_config(manifest)
-    if manifest.mode == "window":
-        synth = WindowSynthesizer(cfg, rng)
-    else:
-        synth = CumulativeSynthesizer(dataset.n, cfg, rng)
+    synth = manifest.synth.synthesizer(dataset.n, np.random.default_rng(seed))
     try:
-        store = synth.run(dataset, through=manifest.T)
+        store = synth.run(dataset, through=manifest.synth.T)
     except PaddingExhaustedError as exc:
         return RepOutcome(rep, False, None, None, fail_t=exc.t, fail_bin=exc.suffix)
-    # n_pad is 0 in cumulative mode, where this is the plain row average
-    answers = [debiased_answer(store, q, n_pad, dataset.n, manifest.k, force=True) for q in queries]
+    # n_pad is None in cumulative mode, where this is the plain row average
+    answers = [debiased_answer(store, q, public["n_pad"] or 0, dataset.n, public["k"], force=True)
+               for q in queries]
     if rep < manifest.save_synth:
         path = Path(manifest.out_dir) / f"synth_rep{rep}.csv"
         np.savetxt(path, store.matrix(), fmt="%d", delimiter=",")
@@ -363,8 +337,8 @@ def _run_one_rep(manifest: RunManifest, dataset, queries, n_pad, rep: int,
 _POOL_STATE: dict = {}
 
 
-def _pool_init(manifest, dataset, queries, n_pad):
-    _POOL_STATE["args"] = (manifest, dataset, queries, n_pad)
+def _pool_init(manifest, dataset, queries, public):
+    _POOL_STATE["args"] = (manifest, dataset, queries, public)
 
 
 def _pool_run(task):
@@ -401,12 +375,13 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
     seeds = root.spawn(manifest.reps + 1)
     dataset, dropped, source = _materialize_dataset(manifest, seeds[0])
 
+    cfg = manifest.synth
+    public = cfg.public()
     queries = list(manifest.queries)
     for q in queries:
-        if q.t > manifest.T:
-            raise InputError(f"query {q.query_id} at t={q.t} is beyond the horizon T={manifest.T}")
-    supported_k = manifest.k if manifest.mode == "window" else None
-    supported = [is_supported(q, supported_k) for q in queries]
+        if q.t > cfg.T:
+            raise InputError(f"query {q.query_id} at t={q.t} is beyond the horizon T={cfg.T}")
+    supported = [is_supported(q, public["k"]) for q in queries]
     unsupported = [q.query_id for q, s in zip(queries, supported) if not s]
     if unsupported and not manifest.force_window:
         raise InputError(
@@ -415,41 +390,27 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
             + " (pass force_window to evaluate them anyway, tagged as unsupported)"
         )
 
-    cfg = _synth_config(manifest)
-    if manifest.mode == "window":
-        n_pad = cfg.resolved_n_pad()
-        error_bound = (
-            0.0
-            if manifest.noiseless
-            else compute_error_bound(manifest.T, manifest.k, manifest.rho, manifest.beta)
-        )
-        alpha_star = None
-    else:
-        n_pad = 0
-        if manifest.noiseless:
-            error_bound, alpha_star = 0.0, 0.0
-        else:
-            alpha_star, _ = accuracy_of(cfg, dataset.n, manifest.beta)
-            error_bound = alpha_star * dataset.n
-
+    guarantee = cfg.guarantee(dataset.n, manifest.beta)
+    error_bound = guarantee["error_bound"]
     truth = [eval_query(dataset, q, force=True) for q in queries]
 
     tasks = [(rep, seeds[rep + 1]) for rep in range(manifest.reps)]
-    if manifest.workers > 1:
+    workers = min(manifest.workers, manifest.reps)  # a fork pool starts every worker at once
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=manifest.workers,
+            max_workers=workers,
             initializer=_pool_init,
-            initargs=(manifest, dataset, queries, n_pad),
+            initargs=(manifest, dataset, queries, public),
         ) as pool:
             outcomes = list(pool.map(_pool_run, tasks, chunksize=8))
     else:
         outcomes = [
-            _run_one_rep(manifest, dataset, queries, n_pad, rep, seed) for rep, seed in tasks
+            _run_one_rep(manifest, dataset, queries, public, rep, seed) for rep, seed in tasks
         ]
     result = ExperimentResult(
         out_dir=out_dir,
         n=dataset.n,
-        n_pad=n_pad if manifest.mode == "window" else None,
+        n_pad=public["n_pad"],
         error_bound=error_bound,
         truth=truth,
         outcomes=outcomes,
@@ -511,22 +472,13 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
     metadata = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
-        "mode": manifest.mode,
-        "T": manifest.T,
-        "k": manifest.k,
-        "rho": manifest.rho,
-        "beta_target": manifest.beta_target,
+        **public,
+        **guarantee,
         "beta": manifest.beta,
-        "n_pad": result.n_pad,
-        "schedule": list(cfg.resolved_schedule()) if manifest.mode == "cumulative" else None,
-        "counter_kind": "tree" if manifest.mode == "cumulative" else None,
-        "alpha_star": alpha_star,
-        "error_bound": error_bound,
         "reps": manifest.reps,
         "seed": manifest.seed,
         "rep_seed_scheme": "SeedSequence(seed).spawn(reps + 1); child 0 simulates data, child r+1 drives repetition r",
         "workers": manifest.workers,
-        "noiseless": manifest.noiseless,
         "force_window": manifest.force_window,
         "data": {
             "source": source,
@@ -539,7 +491,6 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
         },
         "queries": [q.to_dict() for q in queries],
         "unsupported_queries": result.unsupported,
-        "predicted_failure_rate": manifest.beta_target if manifest.mode == "window" else 0.0,
         "observed_failures": len(result.failures),
         "observed_failure_rate": len(result.failures) / manifest.reps,
         "wall_time_s": time.perf_counter() - started,

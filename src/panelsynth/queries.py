@@ -122,31 +122,37 @@ def parse_queries(spec) -> list[QuerySpec]:
     Accepts a JSON string, a parsed list, or a single dict. Each entry is
     {"kind": "window", "s": "101", "t": 7}, {"kind": "cum", "b": 3, "t": 12},
     or {"kind": "linear", "t": 7, "weights": {"110": 1, "011": 1}}; "t" may
-    be a list of rounds, which expands to one query per round.
+    be a list of rounds, which expands to one query per round. Any malformed
+    input raises ValueError.
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
     if isinstance(spec, dict):
         spec = [spec]
+    if not isinstance(spec, list):
+        raise ValueError("a query list must be a JSON list or object")
     queries: list[QuerySpec] = []
     for entry in spec:
-        kind = entry.get("kind")
-        ts = entry.get("t")
-        if ts is None:
-            raise ValueError(f"query entry missing 't': {entry!r}")
-        ts = ts if isinstance(ts, list) else [ts]
-        for t in ts:
-            if kind == "window":
-                queries.append(QuerySpec.window(entry["s"], int(t)))
-            elif kind in ("cum", "cumulative"):
-                queries.append(QuerySpec.cumulative(int(entry["b"]), int(t)))
-            elif kind == "linear":
-                queries.append(
-                    QuerySpec.linear(entry["weights"], int(t), name=entry.get("name"))
-                )
-            else:
-                raise ValueError(f"unknown query kind {kind!r}")
+        try:
+            queries.extend(_entry_queries(entry))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"bad query entry {entry!r} ({type(exc).__name__}: {exc})") from None
     return queries
+
+
+def _entry_queries(entry: dict) -> list[QuerySpec]:
+    kind = entry.get("kind")
+    ts = entry.get("t")
+    if ts is None:
+        raise ValueError(f"query entry missing 't': {entry!r}")
+    ts = ts if isinstance(ts, list) else [ts]
+    if kind == "window":
+        return [QuerySpec.window(entry["s"], int(t)) for t in ts]
+    if kind in ("cum", "cumulative"):
+        return [QuerySpec.cumulative(int(entry["b"]), int(t)) for t in ts]
+    if kind == "linear":
+        return [QuerySpec.linear(entry["weights"], int(t), name=entry.get("name")) for t in ts]
+    raise ValueError(f"unknown query kind {kind!r}")
 
 
 def is_supported(q: QuerySpec, k: int | None) -> bool:

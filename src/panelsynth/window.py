@@ -151,6 +151,22 @@ class WindowSynthConfig:
             return 0
         return compute_n_pad(self.T, self.k, self.rho, self.beta_target)
 
+    def public(self) -> dict:
+        """The release's public engine parameters, as a bundle's metadata records them."""
+        return {"mode": "window", "T": self.T, "k": self.k, "rho": self.rho,
+                "beta_target": self.beta_target, "n_pad": self.resolved_n_pad(),
+                "noiseless": self.noiseless, "schedule": None, "counter_kind": None,
+                "predicted_failure_rate": self.beta_target}
+
+    def guarantee(self, n: int, beta: float) -> dict:
+        """Count-scale bound on every released bin's error with probability 1 - beta."""
+        bound = 0.0 if self.noiseless else compute_error_bound(self.T, self.k, self.rho, beta)
+        return {"error_bound": bound, "alpha_star": None}
+
+    def synthesizer(self, n: int, rng=None) -> "WindowSynthesizer":
+        """A fresh engine for this config; the window engine sizes its own population."""
+        return WindowSynthesizer(self, rng)
+
 
 class WindowSynthesizer:
     """Engine for one run: noisy window histograms drive record extension.
@@ -291,13 +307,4 @@ class WindowSynthesizer:
 
     def metadata(self) -> dict:
         """Public release parameters. n_pad is published so analysts can debias."""
-        return {
-            "T": self.cfg.T,
-            "k": self.cfg.k,
-            "rho": self.cfg.rho,
-            "beta_target": self.cfg.beta_target,
-            "n_pad": self.n_pad,
-            "noiseless": self.cfg.noiseless,
-            "m": self.m,
-            "rho_spent": self.accountant.total,
-        }
+        return {**self.cfg.public(), "m": self.m, "rho_spent": self.accountant.total}

@@ -36,11 +36,7 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 def allones_monte_carlo(tmp_path_factory):
     """1000 window repetitions at (n=25000, T=12, k=3, rho=0.005) on all-ones data."""
     manifest = RunManifest(
-        mode="window",
-        T=12,
-        k=3,
-        rho=0.005,
-        beta_target=0.05,
+        synth=WindowSynthConfig(T=12, k=3, rho=0.005, beta_target=0.05),
         beta=0.05,
         reps=1000,
         seed=90210,
@@ -71,11 +67,7 @@ def sipp_shaped_window(tmp_path_factory):
         for t in _QUARTERS
     ]
     manifest = RunManifest(
-        mode="window",
-        T=12,
-        k=3,
-        rho=0.005,
-        beta_target=0.05,
+        synth=WindowSynthConfig(T=12, k=3, rho=0.005, beta_target=0.05),
         reps=1000,
         seed=6021,
         out_dir=str(tmp_path_factory.mktemp("sipp_window")),
@@ -91,9 +83,7 @@ def sipp_shaped_window(tmp_path_factory):
 def sipp_shaped_cumulative(tmp_path_factory):
     """1000 cumulative repetitions on the same SIPP-shaped panel, b=3 monthly."""
     manifest = RunManifest(
-        mode="cumulative",
-        T=12,
-        rho=0.005,
+        synth=CumulativeSynthConfig(T=12, rho=0.005),
         reps=1000,
         seed=6022,
         out_dir=str(tmp_path_factory.mktemp("sipp_cumulative")),
@@ -284,22 +274,22 @@ def test_criterion_9_padding_failure_rate(allones_monte_carlo):
 
 
 def test_criterion_10_reproducibility(tmp_path):
-    queries = parse_queries('[{"kind":"window","s":"11","t":[2,5,8]}]')
+    window_queries = parse_queries('[{"kind":"window","s":"11","t":[2,5,8]}]')
     manifests = []
-    for mode, extra in (("window", {"k": 2, "queries": queries, "beta_target": 0.05}),
-                        ("cumulative", {"queries": [QuerySpec.cumulative(2, 8)]})):
+    for mode, synth, queries in (
+        ("window", WindowSynthConfig(T=8, k=2, rho=0.05, beta_target=0.05), window_queries),
+        ("cumulative", CumulativeSynthConfig(T=8, rho=0.05), [QuerySpec.cumulative(2, 8)]),
+    ):
         for run_id in ("a", "b"):
             manifests.append(RunManifest(
-                mode=mode,
-                T=8,
-                rho=0.05,
+                synth=synth,
+                queries=queries,
                 reps=25,
                 seed=1010,
                 out_dir=str(tmp_path / f"{mode}_{run_id}"),
                 sim_kind="bernoulli",
                 n=400,
                 sim_params={"p": 0.3},
-                **extra,
             ))
     results = [run_experiment(m) for m in manifests]
     compared = 0

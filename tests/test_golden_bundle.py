@@ -16,8 +16,10 @@ import json
 
 import pytest
 
+from panelsynth.cumulative import CumulativeSynthConfig
 from panelsynth.harness import RunManifest, run_experiment
 from panelsynth.queries import parse_queries
+from panelsynth.window import WindowSynthConfig
 
 WINDOW_QUERIES = (
     '[{"kind":"window","s":"11","t":[2,4,6]},{"kind":"window","s":"101","t":5},'
@@ -46,21 +48,21 @@ CUMULATIVE_CSVS = {
 METADATA = {
     ("window", 1): "821bde9aa4e9316095cfc66397fe852897eaf9e2c2b3024ab5201780bb2fbc00",
     ("window", 2): "02f48e6f73b22faa8afb10f8cc84fdbb0627a1093ee9efbd3a343b2764dbc0b0",
-    ("cumulative", 1): "87561585233ac4fa92c57d7bf5b1873db31a42b9ff64981f18dfcb75acb1b5f3",
-    ("cumulative", 2): "7efe2a5249807f7aef9ac06b913b410b29d7bb84875f251225b8123f8b85a58a",
+    ("cumulative", 1): "4e512f832174c11120e35d986610d2637671ed4d36ebf79a729fafb6d1aca2e7",
+    ("cumulative", 2): "acdf882cc4a9753d9bc653c7767ead5b20cd82590d3f09ddc2e494e38c4ea9d8",
 }
 
 
 def _manifest(mode: str, workers: int, out_dir) -> RunManifest:
     if mode == "window":
         return RunManifest(
-            mode="window", T=6, k=2, rho=0.05, n_pad=6, reps=5, seed=59,
+            synth=WindowSynthConfig(T=6, k=2, rho=0.05, n_pad=6), reps=5, seed=59,
             out_dir=str(out_dir), queries=parse_queries(WINDOW_QUERIES),
             force_window=True, save_synth=2, workers=workers,
             sim_kind="bernoulli", n=40, sim_params={"p": 0.3},
         )
     return RunManifest(
-        mode="cumulative", T=5, rho=0.2, reps=3, seed=7,
+        synth=CumulativeSynthConfig(T=5, rho=0.2), reps=3, seed=7,
         out_dir=str(out_dir), queries=parse_queries(CUMULATIVE_QUERIES),
         force_window=True, save_synth=2, workers=workers,
         sim_kind="bernoulli", n=60, sim_params={"p": 0.4},

@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -226,13 +227,13 @@ class TestSimulate:
             simulate_dataset("weather", 5, 3)
 
 
-def _window_manifest(out_dir, **overrides):
+WINDOW_SYNTH = WindowSynthConfig(T=6, k=2, rho=0.05, beta_target=0.05)
+
+
+def _window_manifest(out_dir, synth=None, **overrides):
+    """The test sweep; synth maps WindowSynthConfig fields to override."""
     base = dict(
-        mode="window",
-        T=6,
-        k=2,
-        rho=0.05,
-        beta_target=0.05,
+        synth=replace(WINDOW_SYNTH, **(synth or {})),
         reps=6,
         seed=424,
         out_dir=str(out_dir),
@@ -249,7 +250,7 @@ def _window_manifest(out_dir, **overrides):
 class TestRunExperiment:
     def test_noiseless_answers_equal_truth(self, tmp_path):
         man = _window_manifest(
-            tmp_path, noiseless=True, rho=0.0,
+            tmp_path, synth={"noiseless": True, "rho": 0.0},
             queries=parse_queries('[{"kind":"window","s":"11","t":[2,4,6]}]'),
             force_window=False,
         )
@@ -282,7 +283,7 @@ class TestRunExperiment:
 
     def test_cumulative_mode(self, tmp_path):
         man = RunManifest(
-            mode="cumulative", T=5, rho=0.2, reps=4, seed=7, out_dir=str(tmp_path),
+            synth=CumulativeSynthConfig(T=5, rho=0.2), reps=4, seed=7, out_dir=str(tmp_path),
             queries=parse_queries('[{"kind":"cum","b":2,"t":[3,5]}]'),
             sim_kind="bernoulli", n=80, sim_params={"p": 0.4},
         )
@@ -309,8 +310,40 @@ class TestRunExperiment:
             parallel.out_dir / "answers.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("workers, reps, started", [(64, 3, 3), (2, 3, 2), (4, 1, None)])
+    def test_pool_starts_at_most_one_worker_per_rep(self, tmp_path, monkeypatch, workers, reps,
+                                                    started):
+        seen = []
+
+        class FakePool:
+            """Records the requested pool size and runs the tasks in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                seen.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        result = run_experiment(_window_manifest(tmp_path, workers=workers, reps=reps))
+        assert seen == ([] if started is None else [started])
+        assert len(result.outcomes) == reps
+        assert json.loads((tmp_path / "metadata.json").read_text())["workers"] == workers
+
+    def test_manifest_holds_one_engine_config(self):
+        names = {f.name for f in fields(RunManifest)}
+        assert "synth" in names
+        assert not names & {"mode", "T", "k", "rho", "beta_target", "n_pad", "noiseless"}
+
     def test_failures_logged_not_fatal(self, tmp_path):
-        man = _window_manifest(tmp_path, n_pad=0, rho=1e-4, reps=5, n=10,
+        man = _window_manifest(tmp_path, synth={"n_pad": 0, "rho": 1e-4}, reps=5, n=10,
                                queries=parse_queries('[{"kind":"window","s":"11","t":6}]'),
                                force_window=False)
         result = run_experiment(man)
@@ -371,6 +404,49 @@ class TestMaxError:
             synth = CumulativeSynthesizer(30, CumulativeSynthConfig(T=6, noiseless=True), rng)
         synth.run(ds)
         assert _max_error(ds, synth) == 0
+
+
+AGREEMENT_CONFIGS = [
+    ("window", WindowSynthConfig(T=8, k=3, rho=0.05, beta_target=0.02),
+     ["--k", "3", "--beta-target", "0.02"]),
+    ("cumulative", CumulativeSynthConfig(T=8, rho=0.05), []),
+]
+
+
+class TestOneEngineConfig:
+    """A config's public() and guarantee() are what the engine, a bundle and bound report."""
+
+    @pytest.mark.parametrize("mode, cfg, flags", AGREEMENT_CONFIGS)
+    def test_bound_agrees_with_the_bundle(self, tmp_path, capsys, mode, cfg, flags):
+        common = ["--T", "8", "--rho", "0.05", "--beta", "0.1", *flags]
+        rc = main([f"synth-{mode}", "--sim-kind", "bernoulli", "--n", "70", "--p", "0.3",
+                   "--reps", "2", "--out", str(tmp_path), *common])
+        assert rc == 0
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        capsys.readouterr()
+        assert main(["bound", "--mode", mode, "--n", "70", *common]) == 0
+        bound = json.loads(capsys.readouterr().out)
+        assert meta["schedule"] == bound.get("schedule")
+        if mode == "window":
+            assert meta["n_pad"] == bound["n_pad"] == cfg.resolved_n_pad()
+            assert meta["error_bound"] == bound["max_additive_error_bound"]
+            assert meta["alpha_star"] is None
+        else:
+            assert meta["alpha_star"] == bound["alpha_star"]
+            assert meta["error_bound"] == bound["alpha_star"] * 70
+            assert meta["k"] is meta["n_pad"] is meta["beta_target"] is None
+        assert {key: meta[key] for key in cfg.public()} == cfg.public()
+
+    @pytest.mark.parametrize("mode, cfg, flags", AGREEMENT_CONFIGS)
+    def test_engine_metadata_contains_public(self, mode, cfg, flags):
+        ds = random_dataset(np.random.default_rng(8), 40, 8, p=0.4)
+        synth = cfg.synthesizer(ds.n, np.random.default_rng(9))
+        assert isinstance(synth, WindowSynthesizer if mode == "window" else CumulativeSynthesizer)
+        synth.run(ds)
+        meta = synth.metadata()
+        assert {key: meta[key] for key in cfg.public()} == cfg.public()
+        assert meta["rho_spent"] == pytest.approx(cfg.rho)
+        assert meta["m" if mode == "window" else "n"] == synth.store.n
 
 
 class TestCli:
@@ -478,3 +554,41 @@ class TestCli:
         rc = main(["eval", "--data", str(data), "--window-limit", "2", "--force-window",
                    "--queries", '[{"kind":"window","s":"111","t":4}]'])
         assert rc == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth-window", "--k", "2", "--rho", "0"], "rho must be positive for a noisy run"),
+        (["synth-window", "--k", "13", "--rho", "0.1"], "need 1 <= k <= T, got k=13, T=12"),
+        (["synth-cumulative", "--rho", "-1"], "rho must be positive for a noisy run"),
+    ], ids=["window-rho-0", "k-past-T", "cumulative-rho-negative"])
+    def test_refused_config_exit_code(self, tmp_path, capsys, argv, message):
+        rc = main([*argv, "--sim-kind", "bernoulli", "--n", "10", "--T", "12",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_refused_bound_config_exit_code(self, capsys):
+        rc = main(["bound", "--mode", "window", "--T", "12", "--k", "3", "--rho", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: rho must be positive for a noisy run\n"
+
+    def test_query_past_the_data_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("0,1,1,0,0,1,1,0,0,1,1,0\n")
+        rc = main(["eval", "--data", str(data), "--queries", '{"kind":"cum","b":1,"t":13}'])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: query round 13 exceeds available rounds (12)\n"
+
+    @pytest.mark.parametrize("spec, detail", [
+        ("queries.jsn", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"kind":"cum","b":[1],"t":3}',
+         "bad query entry {'kind': 'cum', 'b': [1], 't': 3} (TypeError: int() argument "
+         "must be a string, a bytes-like object or a real number, not 'list')"),
+    ], ids=["neither-file-nor-json", "list-valued-b"])
+    def test_unusable_queries_exit_code(self, tmp_path, capsys, spec, detail):
+        data = tmp_path / "d.csv"
+        data.write_text("0,1,1\n")
+        rc = main(["eval", "--data", str(data), "--queries", spec])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --queries is neither a file nor a valid query list: {detail}\n"
