@@ -3,13 +3,11 @@
 __version__ = "0.1.0"
 
 from .counters import MonotoneBank, TreeCounter, tree_noise_sigma2
-from .cumulative import CumulativeSynthConfig, CumulativeSynthesizer, accuracy_of
+from .cumulative import CumulativeSynthConfig, CumulativeSynthesizer
 from .dp import (
     BitSource,
     DiscreteGaussianSampler,
     ZCDPAccountant,
-    cumulative_split_weights,
-    split_cumulative,
     zcdp_to_approx_dp,
 )
 from .model import (
@@ -32,9 +30,6 @@ from .window import (
     PaddingExhaustedError,
     WindowSynthConfig,
     WindowSynthesizer,
-    compute_error_bound,
-    compute_n_pad,
-    compute_relative_error_bound,
     split_consistent,
 )
 
@@ -54,16 +49,10 @@ __all__ = [
     "WindowSynthConfig",
     "WindowSynthesizer",
     "ZCDPAccountant",
-    "accuracy_of",
-    "compute_error_bound",
-    "compute_n_pad",
-    "compute_relative_error_bound",
-    "cumulative_split_weights",
     "debiased_answer",
     "eval_query",
     "parse_queries",
     "split_consistent",
-    "split_cumulative",
     "suffix_index",
     "suffix_string",
     "tree_noise_sigma2",

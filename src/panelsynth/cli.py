@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cumulative import CumulativeSynthConfig, accuracy_of
+from .cumulative import CumulativeSynthConfig
 from .harness import InputError, RunManifest, ingest_csv, run_experiment, simulate_dataset
 from .queries import eval_query, parse_queries
-from .window import WindowSynthConfig, compute_relative_error_bound
+from .window import WindowSynthConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -159,20 +159,21 @@ def _cmd_bound(args) -> int:
     if args.mode == "window" and args.k is None:
         raise InputError("bound --mode window needs --k")
     cfg = _engine_config(args, args.mode)
-    public, guarantee = cfg.public(), cfg.guarantee(args.n or 1, args.beta)
+    public, n = cfg.public(), args.n or 1
     # the parameters this mode defines; the others are None in public()
     keys = ("mode", "T", "k", "rho", "beta_target", "n_pad", "schedule")
     out = {key: public[key] for key in keys if public[key] is not None}
     out["beta"] = args.beta
-    if args.mode == "window":
-        out["max_additive_error_bound"] = guarantee["error_bound"]
-        if args.n:
-            out["max_relative_error_bound"] = compute_relative_error_bound(
-                args.T, args.k, args.rho, args.beta, args.n, args.c_frac
-            )
-    else:
-        out.update(n=args.n or 1, alpha_star=guarantee["alpha_star"],
-                   beta_star=accuracy_of(cfg, args.n or 1, args.beta)[1])
+    try:
+        guarantee = cfg.guarantee(n, args.beta)
+        if args.mode == "window":
+            out["max_additive_error_bound"] = guarantee["error_bound"]
+            if args.n:
+                out["max_relative_error_bound"] = cfg.relative_error_bound(n, args.beta, args.c_frac)
+        else:
+            out.update(n=n, alpha_star=guarantee["alpha_star"], beta_star=cfg.T * args.beta)
+    except ValueError as exc:  # an out-of-range --n, --beta or --c-frac
+        raise InputError(str(exc)) from None
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import MonotoneBank, TreeCounter
-from .dp import ZCDPAccountant, cumulative_split_weights, split_cumulative
+from .dp import ZCDPAccountant, ceil_log2
 from .model import LongitudinalDataset, RowGroups, SyntheticStore
 
-__all__ = ["CumulativeSynthConfig", "CumulativeSynthesizer", "accuracy_of"]
+__all__ = ["CumulativeSynthConfig", "CumulativeSynthesizer"]
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,23 @@ class CumulativeSynthConfig:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("horizon must be at least 1")
-        if not self.noiseless and self.rho <= 0:
+        if not self.noiseless and not self.rho > 0:  # NaN included
             raise ValueError("rho must be positive for a noisy run")
+        if not self.noiseless and self.rho == math.inf:
+            raise ValueError("rho must be finite for a noisy run")
+
+    def split_weights(self) -> np.ndarray:
+        """Integer weights max(ceil(log2(T-b+1)), 1)**3 for thresholds b = 1..T."""
+        return np.array(
+            [max(ceil_log2(self.T - b + 1), 1) ** 3 for b in range(1, self.T + 1)], dtype=np.int64
+        )
 
     def resolved_schedule(self) -> tuple[float, ...]:
+        """Budgets rho * w / w.sum(); low thresholds watch deeper trees and get more of rho."""
         if self.noiseless:
             return (0.0,) * self.T
-        return tuple(split_cumulative(self.rho, self.T).tolist())
+        w = self.split_weights()
+        return tuple((self.rho * (w / w.sum())).tolist())
 
     def public(self) -> dict:
         """Public engine parameters for metadata.json; no window, padding or padding failure."""
@@ -50,32 +60,24 @@ class CumulativeSynthConfig:
                 "predicted_failure_rate": 0.0}
 
     def guarantee(self, n: int, beta: float) -> dict:
-        """alpha_star of :func:`accuracy_of` and its count-scale error bound alpha_star * n."""
+        """Fraction-scale alpha_star and its count-scale error bound alpha_star * n.
+
+        alpha_star bounds every released threshold fraction's error with
+        probability 1 - T * beta.
+        """
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        if not 0 < beta < 1:
+            raise ValueError("beta must lie in (0, 1)")
         if self.noiseless:
             return {"error_bound": 0.0, "alpha_star": 0.0}
-        alpha_star, _ = accuracy_of(self, n, beta)
+        weights = self.split_weights()
+        alpha_star = math.sqrt(float(weights.sum()) / self.rho * math.log(1.0 / beta)) / n
         return {"error_bound": alpha_star * n, "alpha_star": alpha_star}
 
     def synthesizer(self, n: int, rng=None) -> "CumulativeSynthesizer":
         """A fresh engine for this config over a population of n rows."""
         return CumulativeSynthesizer(n, self, rng)
-
-
-def accuracy_of(cfg: CumulativeSynthConfig, n: int, beta: float) -> tuple[float, float]:
-    """Fraction-scale guarantee (alpha_star, beta_star) for the budget split.
-
-    alpha_star bounds every released threshold fraction's error with
-    probability 1 - beta_star, where beta_star = T * beta.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
-    if cfg.rho <= 0:
-        raise ValueError("rho must be positive")
-    weights = cumulative_split_weights(cfg.T)
-    alpha_star = math.sqrt(float(weights.sum()) / cfg.rho * math.log(1.0 / beta)) / n
-    return alpha_star, cfg.T * beta
 
 
 class CumulativeSynthesizer:
@@ -152,13 +154,11 @@ class CumulativeSynthesizer:
         self.t = t
         return column
 
-    def run(self, dataset: LongitudinalDataset, through: int | None = None) -> SyntheticStore:
-        """Step through rounds 1..through (default min(T, t_max))."""
-        if through is None:
-            through = min(self.cfg.T, dataset.t_max)
-        if through < 1 or through > min(self.cfg.T, dataset.t_max):
-            raise ValueError(f"cannot run through round {through}")
-        for t in range(1, through + 1):
+    def run(self, dataset: LongitudinalDataset) -> SyntheticStore:
+        """Step through rounds 1..min(T, t_max)."""
+        if dataset.t_max < 1:
+            raise ValueError("dataset must have at least one ingested round")
+        for t in range(1, min(self.cfg.T, dataset.t_max) + 1):
             self.step(dataset, t)
         return self.store
 

@@ -20,8 +20,6 @@ __all__ = [
     "DiscreteGaussianSampler",
     "ZCDPAccountant",
     "ceil_log2",
-    "cumulative_split_weights",
-    "split_cumulative",
     "zcdp_to_approx_dp",
 ]
 
@@ -44,27 +42,6 @@ def ceil_log2(x: int) -> int:
     if x < 1:
         raise ValueError("x must be positive")
     return (x - 1).bit_length()
-
-
-def cumulative_split_weights(T: int) -> np.ndarray:
-    """Integer weights max(ceil(log2(T-b+1)), 1)**3 for thresholds b = 1..T."""
-    if T < 1:
-        raise ValueError("horizon must be at least 1")
-    return np.array(
-        [max(ceil_log2(T - b + 1), 1) ** 3 for b in range(1, T + 1)], dtype=np.int64
-    )
-
-
-def split_cumulative(rho: float, T: int) -> np.ndarray:
-    """Per-threshold budget split equalizing worst-case tree-counter error.
-
-    Low thresholds watch longer streams (deeper trees) and receive
-    proportionally more budget. Entries sum to rho.
-    """
-    if rho < 0:
-        raise ValueError("rho must be non-negative")
-    w = cumulative_split_weights(T)
-    return rho * (w / w.sum())
 
 
 class ZCDPAccountant:

@@ -90,21 +90,21 @@ def _chunk_values(path, linenos, records, width: int) -> np.ndarray:
                 raise InputError(f"{path}: line {lineno}: non-numeric cell {cell!r}") from None
 
 
-def _kept_records(handle, header: bool, delimiter: str):
+def _kept_records(handle, header: bool):
     """Numbered records, header and blank records skipped; numbers count records from 1."""
-    numbered = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
+    numbered = enumerate(csv.reader(handle), start=1)
     return (
         (lineno, record) for lineno, record in numbered
         if not (header and lineno == 1) and record and (len(record) > 1 or record[0].strip())
     )
 
 
-def _read_blocks(path, header: bool, delimiter: str):
+def _read_blocks(path, header: bool):
     """The kept rows as float64 blocks, one per chunk, and the dropped-row count."""
     blocks, dropped, width = [], 0, None
     try:
         with open(path, newline="") as handle:
-            kept = _kept_records(handle, header, delimiter)
+            kept = _kept_records(handle, header)
             while chunk := list(islice(kept, _CHUNK_RECORDS)):
                 linenos, records = zip(*chunk)
                 width = width or len(records[0])
@@ -123,19 +123,19 @@ def _read_blocks(path, header: bool, delimiter: str):
     return blocks, dropped
 
 
-def _first_non_binary(path, header: bool, delimiter: str, arr: np.ndarray):
+def _first_non_binary(path, header: bool, arr: np.ndarray):
     """Line number and text of the first kept cell that is not 0/1; re-reads the file."""
     row, col = divmod(int(np.argmin(np.isin(arr, (0.0, 1.0)))), arr.shape[1])
     with open(path, newline="") as handle:
         complete = (
-            (lineno, record) for lineno, record in _kept_records(handle, header, delimiter)
+            (lineno, record) for lineno, record in _kept_records(handle, header)
             if not any(cell.strip().lower() in _MISSING_TOKENS for cell in record)
         )
         lineno, record = next(islice(complete, row, None))
     return lineno, record[col]
 
 
-def ingest_csv(path, header: bool = False, threshold: float | None = None, delimiter: str = ","):
+def ingest_csv(path, header: bool = False, threshold: float | None = None):
     """Load a rows-by-rounds numeric CSV into a dataset.
 
     With a threshold, a cell value v becomes 1 when v < threshold, else 0
@@ -143,7 +143,7 @@ def ingest_csv(path, header: bool = False, threshold: float | None = None, delim
     Rows containing any missing cell are dropped. Returns
     (dataset, dropped_row_count).
     """
-    blocks, dropped = _read_blocks(path, header, delimiter)
+    blocks, dropped = _read_blocks(path, header)
     if not sum(map(len, blocks)):
         raise InputError(f"{path}: no usable rows")
     arr = np.concatenate(blocks)
@@ -151,7 +151,7 @@ def ingest_csv(path, header: bool = False, threshold: float | None = None, delim
         bits = (arr < threshold).astype(np.uint8)
     else:
         if not np.isin(arr, (0.0, 1.0)).all():
-            lineno, cell = _first_non_binary(path, header, delimiter, arr)
+            lineno, cell = _first_non_binary(path, header, arr)
             raise InputError(f"{path}: line {lineno}: cell {cell!r} is not 0/1; values must "
                              "be 0/1 unless a binarization threshold is given")
         bits = arr.astype(np.uint8)
@@ -322,7 +322,7 @@ def _run_one_rep(manifest: RunManifest, dataset, queries, public: dict, rep: int
                  seed: np.random.SeedSequence) -> RepOutcome:
     synth = manifest.synth.synthesizer(dataset.n, np.random.default_rng(seed))
     try:
-        store = synth.run(dataset, through=manifest.synth.T)
+        store = synth.run(dataset)
     except PaddingExhaustedError as exc:
         return RepOutcome(rep, False, None, None, fail_t=exc.t, fail_bin=exc.suffix)
     # n_pad is None in cumulative mode, where this is the plain row average

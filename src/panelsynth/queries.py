@@ -145,14 +145,24 @@ def _entry_queries(entry: dict) -> list[QuerySpec]:
     ts = entry.get("t")
     if ts is None:
         raise ValueError(f"query entry missing 't': {entry!r}")
-    ts = ts if isinstance(ts, list) else [ts]
+    ts = [_integer(t) for t in (ts if isinstance(ts, list) else [ts])]
     if kind == "window":
-        return [QuerySpec.window(entry["s"], int(t)) for t in ts]
+        return [QuerySpec.window(entry["s"], t) for t in ts]
     if kind in ("cum", "cumulative"):
-        return [QuerySpec.cumulative(int(entry["b"]), int(t)) for t in ts]
+        return [QuerySpec.cumulative(_integer(entry["b"]), t) for t in ts]
     if kind == "linear":
-        return [QuerySpec.linear(entry["weights"], int(t), name=entry.get("name")) for t in ts]
+        return [QuerySpec.linear(entry["weights"], t, name=entry.get("name")) for t in ts]
     raise ValueError(f"unknown query kind {kind!r}")
+
+
+def _integer(value) -> int:
+    """A round or threshold; a float, string or bool is refused rather than truncated.
+
+    JSON's other values (a list, an object or null) fail in int() itself.
+    """
+    if isinstance(value, (bool, float, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def is_supported(q: QuerySpec, k: int | None) -> bool:

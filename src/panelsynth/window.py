@@ -30,9 +30,6 @@ __all__ = [
     "PaddingExhaustedError",
     "WindowSynthConfig",
     "WindowSynthesizer",
-    "compute_error_bound",
-    "compute_n_pad",
-    "compute_relative_error_bound",
     "split_consistent",
 ]
 
@@ -52,50 +49,6 @@ class PaddingExhaustedError(RuntimeError):
         super().__init__(
             f"synthetic count for suffix {suffix!r} at round {t} went negative ({value})"
         )
-
-
-def _check_window_shape(T: int, k: int) -> None:
-    if not 1 <= k <= T:
-        raise ValueError(f"need 1 <= k <= T, got k={k}, T={T}")
-
-
-def compute_n_pad(T: int, k: int, rho: float, beta_target: float) -> int:
-    """Padding records per bin keeping all noisy counts non-negative w.p. >= 1 - beta_target.
-
-    Ceiled to an integer so all histogram state stays integral.
-    """
-    _check_window_shape(T, k)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if not 0 < beta_target < 1:
-        raise ValueError("beta_target must lie in (0, 1)")
-    r = T - k + 1
-    return math.ceil(math.sqrt(r / rho * math.log((1 << k) * r / beta_target)))
-
-
-def compute_error_bound(T: int, k: int, rho: float, beta: float) -> float:
-    """High-probability bound on max over (s, t) of |p - (C + n_pad)| for a full run."""
-    _check_window_shape(T, k)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
-    r = T - k + 1
-    return (math.sqrt(r / rho) + 1.0 / math.sqrt(2.0)) * math.sqrt(
-        math.log((1 << k) * r / beta)
-    )
-
-
-def compute_relative_error_bound(
-    T: int, k: int, rho: float, beta: float, n: int, c_frac: float
-) -> float:
-    """Bound on max |p/m - C/n| for bins holding a c_frac fraction of the data."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0 <= c_frac <= 1:
-        raise ValueError("c_frac must lie in [0, 1]")
-    lam = compute_error_bound(T, k, rho, beta)
-    return (2.0 * lam + (1 << (k + 1)) * lam * c_frac) / n
 
 
 def split_consistent(prev_mass: int, c_hat0: int, c_hat1: int, rounding_bit: int = 0):
@@ -129,27 +82,39 @@ class WindowSynthConfig:
     noiseless: bool = False
 
     def __post_init__(self):
-        _check_window_shape(self.T, self.k)
+        if not 1 <= self.k <= self.T:
+            raise ValueError(f"need 1 <= k <= T, got k={self.k}, T={self.T}")
         if not 0 < self.beta_target < 1:
             raise ValueError("beta_target must lie in (0, 1)")
         if self.n_pad is not None and self.n_pad < 0:
             raise ValueError("n_pad must be non-negative")
-        if not self.noiseless and self.rho <= 0:
+        if not self.noiseless and not self.rho > 0:  # NaN included
             raise ValueError("rho must be positive for a noisy run")
+        if not self.noiseless and self.rho == math.inf:
+            raise ValueError("rho must be finite for a noisy run")
 
     @property
     def update_steps(self) -> int:
         return self.T - self.k + 1
 
+    @property
+    def sigma2(self) -> Fraction:
+        """Exact per-bin noise variance (T - k + 1) / (2 rho); 0 when noiseless."""
+        if self.noiseless:
+            return Fraction(0)
+        return Fraction(self.update_steps) / (2 * Fraction(self.rho))
+
     def per_step_rho(self) -> float:
         return 0.0 if self.noiseless else self.rho / self.update_steps
 
     def resolved_n_pad(self) -> int:
+        """n_pad if set, else padding per bin keeping all noisy counts >= 0 w.p. 1 - beta_target."""
         if self.n_pad is not None:
             return int(self.n_pad)
         if self.noiseless:
             return 0
-        return compute_n_pad(self.T, self.k, self.rho, self.beta_target)
+        r = self.update_steps
+        return math.ceil(math.sqrt(r / self.rho * math.log((1 << self.k) * r / self.beta_target)))
 
     def public(self) -> dict:
         """The release's public engine parameters, as a bundle's metadata records them."""
@@ -159,9 +124,25 @@ class WindowSynthConfig:
                 "predicted_failure_rate": self.beta_target}
 
     def guarantee(self, n: int, beta: float) -> dict:
-        """Count-scale bound on every released bin's error with probability 1 - beta."""
-        bound = 0.0 if self.noiseless else compute_error_bound(self.T, self.k, self.rho, beta)
+        """Bound on max over (s, t) of |p - (C + n_pad)| in a run, with probability 1 - beta."""
+        if not 0 < beta < 1:
+            raise ValueError("beta must lie in (0, 1)")
+        if self.noiseless:
+            return {"error_bound": 0.0, "alpha_star": None}
+        r = self.update_steps
+        bound = (math.sqrt(r / self.rho) + 1.0 / math.sqrt(2.0)) * math.sqrt(
+            math.log((1 << self.k) * r / beta)
+        )
         return {"error_bound": bound, "alpha_star": None}
+
+    def relative_error_bound(self, n: int, beta: float, c_frac: float) -> float:
+        """Bound on max |p/m - C/n| for bins holding a c_frac fraction of the data."""
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        if not 0 <= c_frac <= 1:
+            raise ValueError("c_frac must lie in [0, 1]")
+        lam = self.guarantee(n, beta)["error_bound"]
+        return (2.0 * lam + (1 << (self.k + 1)) * lam * c_frac) / n
 
     def synthesizer(self, n: int, rng=None) -> "WindowSynthesizer":
         """A fresh engine for this config; the window engine sizes its own population."""
@@ -187,9 +168,7 @@ class WindowSynthesizer:
         self._bits = BitSource(noise_rng)
         self._select = select_rng
         self.n_pad = cfg.resolved_n_pad()
-        self._sampler = DiscreteGaussianSampler(
-            0 if cfg.noiseless else Fraction(cfg.update_steps) / (2 * Fraction(cfg.rho))
-        )
+        self._sampler = DiscreteGaussianSampler(cfg.sigma2)
         self.accountant = ZCDPAccountant()
         self.store: SyntheticStore | None = None
         self.m: int | None = None
@@ -198,10 +177,6 @@ class WindowSynthesizer:
         # per-row code of the trailing k-1 bits, in the smallest unsigned dtype
         # that holds it: keys of at most 16 bits take numpy's radix argsort
         self._state: np.ndarray | None = None
-
-    @property
-    def sigma2(self) -> Fraction:
-        return self._sampler.sigma2
 
     def _noisy_counts(self, true: np.ndarray, t: int) -> np.ndarray:
         out = np.empty(true.shape, dtype=np.int64)
@@ -288,14 +263,10 @@ class WindowSynthesizer:
         self.t = t
         return column
 
-    def run(self, dataset: LongitudinalDataset, through: int | None = None) -> SyntheticStore:
-        """Initialize then step through rounds k+1..through (default min(T, t_max))."""
-        if through is None:
-            through = min(self.cfg.T, dataset.t_max)
-        if through < self.cfg.k or through > min(self.cfg.T, dataset.t_max):
-            raise ValueError(f"cannot run through round {through}")
+    def run(self, dataset: LongitudinalDataset) -> SyntheticStore:
+        """Initialize then step through rounds k+1..min(T, t_max)."""
         self.init(dataset)
-        for t in range(self.cfg.k + 1, through + 1):
+        for t in range(self.cfg.k + 1, min(self.cfg.T, dataset.t_max) + 1):
             self.step(dataset, t)
         return self.store
 

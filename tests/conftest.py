@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from panelsynth.dp import BitSource, DiscreteGaussianSampler
+from panelsynth.cumulative import CumulativeSynthConfig
+from panelsynth.dp import BitSource, DiscreteGaussianSampler, ceil_log2
 from panelsynth.harness import _MISSING_TOKENS, InputError
 from panelsynth.model import LongitudinalDataset
 
@@ -101,6 +102,92 @@ def ingest_csv_reference(path, header: bool = False, threshold: float | None = N
                                      "must be 0/1 unless a binarization threshold is given")
         bits = arr.astype(np.uint8)
     return LongitudinalDataset.from_matrix(bits), dropped
+
+
+# The free budget functions the engine configs replaced, kept verbatim as the
+# oracle for the config methods (tests/test_configs.py).
+
+
+def _check_window_shape(T: int, k: int) -> None:
+    if not 1 <= k <= T:
+        raise ValueError(f"need 1 <= k <= T, got k={k}, T={T}")
+
+
+def compute_n_pad(T: int, k: int, rho: float, beta_target: float) -> int:
+    """Padding records per bin keeping all noisy counts non-negative w.p. >= 1 - beta_target.
+
+    Ceiled to an integer so all histogram state stays integral.
+    """
+    _check_window_shape(T, k)
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    if not 0 < beta_target < 1:
+        raise ValueError("beta_target must lie in (0, 1)")
+    r = T - k + 1
+    return math.ceil(math.sqrt(r / rho * math.log((1 << k) * r / beta_target)))
+
+
+def compute_error_bound(T: int, k: int, rho: float, beta: float) -> float:
+    """High-probability bound on max over (s, t) of |p - (C + n_pad)| for a full run."""
+    _check_window_shape(T, k)
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    if not 0 < beta < 1:
+        raise ValueError("beta must lie in (0, 1)")
+    r = T - k + 1
+    return (math.sqrt(r / rho) + 1.0 / math.sqrt(2.0)) * math.sqrt(
+        math.log((1 << k) * r / beta)
+    )
+
+
+def compute_relative_error_bound(
+    T: int, k: int, rho: float, beta: float, n: int, c_frac: float
+) -> float:
+    """Bound on max |p/m - C/n| for bins holding a c_frac fraction of the data."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not 0 <= c_frac <= 1:
+        raise ValueError("c_frac must lie in [0, 1]")
+    lam = compute_error_bound(T, k, rho, beta)
+    return (2.0 * lam + (1 << (k + 1)) * lam * c_frac) / n
+
+
+def cumulative_split_weights(T: int) -> np.ndarray:
+    """Integer weights max(ceil(log2(T-b+1)), 1)**3 for thresholds b = 1..T."""
+    if T < 1:
+        raise ValueError("horizon must be at least 1")
+    return np.array(
+        [max(ceil_log2(T - b + 1), 1) ** 3 for b in range(1, T + 1)], dtype=np.int64
+    )
+
+
+def split_cumulative(rho: float, T: int) -> np.ndarray:
+    """Per-threshold budget split equalizing worst-case tree-counter error.
+
+    Low thresholds watch longer streams (deeper trees) and receive
+    proportionally more budget. Entries sum to rho.
+    """
+    if rho < 0:
+        raise ValueError("rho must be non-negative")
+    w = cumulative_split_weights(T)
+    return rho * (w / w.sum())
+
+
+def accuracy_of(cfg: CumulativeSynthConfig, n: int, beta: float) -> tuple[float, float]:
+    """Fraction-scale guarantee (alpha_star, beta_star) for the budget split.
+
+    alpha_star bounds every released threshold fraction's error with
+    probability 1 - beta_star, where beta_star = T * beta.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not 0 < beta < 1:
+        raise ValueError("beta must lie in (0, 1)")
+    if cfg.rho <= 0:
+        raise ValueError("rho must be positive")
+    weights = cumulative_split_weights(cfg.T)
+    alpha_star = math.sqrt(float(weights.sum()) / cfg.rho * math.log(1.0 / beta)) / n
+    return alpha_star, cfg.T * beta
 
 
 @pytest.fixture(scope="session")

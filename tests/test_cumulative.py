@@ -1,11 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_dataset
-from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer, accuracy_of
-from panelsynth.dp import cumulative_split_weights
+from panelsynth.cli import main
+from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
 from panelsynth.model import LongitudinalDataset, true_cumulative_counts
 
 
@@ -13,7 +14,7 @@ class TestConfig:
     def test_default_schedule_is_weighted_split(self):
         cfg = CumulativeSynthConfig(T=4, rho=0.9)
         sched = cfg.resolved_schedule()
-        weights = cumulative_split_weights(4)
+        weights = cfg.split_weights()
         assert np.allclose(sched, 0.9 * weights / weights.sum())
 
     def test_requires_positive_rho_when_noisy(self):
@@ -21,24 +22,29 @@ class TestConfig:
             CumulativeSynthConfig(T=3, rho=0.0)
 
 
-class TestAccuracyOf:
-    def test_t1_closed_form(self):
-        cfg = CumulativeSynthConfig(T=1, rho=0.2)
-        alpha, beta_star = accuracy_of(cfg, n=50, beta=0.1)
-        assert alpha == pytest.approx(math.sqrt(math.log(10) / 0.2) / 50)
-        assert beta_star == pytest.approx(0.1)
+def _bound(capsys, T, rho, n, beta) -> dict:
+    argv = ["bound", "--mode", "cumulative", "--T", str(T), "--rho", str(rho),
+            "--n", str(n), "--beta", str(beta)]
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
 
-    def test_beta_star_scales_with_horizon(self):
-        cfg = CumulativeSynthConfig(T=12, rho=0.005)
-        _, beta_star = accuracy_of(cfg, n=100, beta=0.01)
-        assert beta_star == pytest.approx(0.12)
+
+class TestAccuracyOf:
+    def test_t1_closed_form(self, capsys):
+        cfg = CumulativeSynthConfig(T=1, rho=0.2)
+        alpha = cfg.guarantee(50, 0.1)["alpha_star"]
+        assert alpha == pytest.approx(math.sqrt(math.log(10) / 0.2) / 50)
+        assert _bound(capsys, 1, 0.2, 50, 0.1)["beta_star"] == pytest.approx(0.1)
+
+    def test_beta_star_scales_with_horizon(self, capsys):
+        assert _bound(capsys, 12, 0.005, 100, 0.01)["beta_star"] == pytest.approx(0.12)
 
     def test_decreasing_in_n_and_rho(self):
         cfg_lo = CumulativeSynthConfig(T=6, rho=0.01)
         cfg_hi = CumulativeSynthConfig(T=6, rho=0.1)
-        a_small_n, _ = accuracy_of(cfg_lo, n=100, beta=0.05)
-        a_big_n, _ = accuracy_of(cfg_lo, n=1000, beta=0.05)
-        a_big_rho, _ = accuracy_of(cfg_hi, n=100, beta=0.05)
+        a_small_n = cfg_lo.guarantee(100, 0.05)["alpha_star"]
+        a_big_n = cfg_lo.guarantee(1000, 0.05)["alpha_star"]
+        a_big_rho = cfg_hi.guarantee(100, 0.05)["alpha_star"]
         assert a_big_n < a_small_n
         assert a_big_rho < a_small_n
 
@@ -155,6 +161,12 @@ class TestNoisyRunInvariants:
         synth = CumulativeSynthesizer(12, CumulativeSynthConfig(T=4, noiseless=True), rng)
         with pytest.raises(ValueError, match="population"):
             synth.step(ds, 1)
+
+    def test_run_refuses_a_panel_without_rounds(self):
+        synth = CumulativeSynthesizer(3, CumulativeSynthConfig(T=4, noiseless=True),
+                                      np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least one ingested round"):
+            synth.run(LongitudinalDataset(3))
 
     def test_metadata(self):
         _, synth, _ = self._run(1)

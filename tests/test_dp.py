@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gof_pvalue, sign_symmetry_pvalue
+from panelsynth.cumulative import CumulativeSynthConfig
 from panelsynth.dp import (
     BitSource,
     DiscreteGaussianSampler,
     ZCDPAccountant,
     ceil_log2,
-    cumulative_split_weights,
-    split_cumulative,
     zcdp_to_approx_dp,
 )
 from panelsynth.window import WindowSynthConfig
@@ -79,19 +78,20 @@ class TestSchedules:
             WindowSynthConfig(T=3, k=4, rho=0.1)
 
     def test_cumulative_t1(self):
-        assert split_cumulative(0.4, 1).tolist() == [0.4]
+        assert list(CumulativeSynthConfig(T=1, rho=0.4).resolved_schedule()) == [0.4]
 
     def test_cumulative_t4_weights(self):
         # depths ceil(log2(4,3,2,1)) -> (2,2,1,1), cubed -> (8,8,1,1)
-        assert cumulative_split_weights(4).tolist() == [8, 8, 1, 1]
-        sched = split_cumulative(0.9, 4)
+        cfg = CumulativeSynthConfig(T=4, rho=0.9)
+        assert cfg.split_weights().tolist() == [8, 8, 1, 1]
+        sched = cfg.resolved_schedule()
         assert sched[0] == pytest.approx(0.9 * 8 / 18)
         assert sched[2] == pytest.approx(0.9 / 18)
 
     @settings(deadline=None)
     @given(st.floats(1e-6, 10.0), st.integers(1, 64))
     def test_cumulative_sums_to_rho(self, rho, T):
-        sched = split_cumulative(rho, T)
+        sched = np.array(CumulativeSynthConfig(T=T, rho=rho).resolved_schedule())
         assert abs(sched.sum() - rho) <= 1e-9 * rho
         assert (sched >= 0).all()
 

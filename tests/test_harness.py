@@ -572,6 +572,38 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == "error: rho must be positive for a noisy run\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--beta", "1.5"], "beta must lie in (0, 1)"),
+        (["--mode", "cumulative", "--n", "-5"], "n must be at least 1"),
+        (["--n", "100", "--c-frac", "2"], "c_frac must lie in [0, 1]"),
+        (["--rho", "nan"], "rho must be positive for a noisy run"),
+        (["--rho", "inf"], "rho must be finite for a noisy run"),
+    ], ids=["beta-past-1", "cumulative-n-negative", "c-frac-past-1", "rho-nan", "rho-inf"])
+    def test_out_of_range_bound_exit_code(self, capsys, argv, message):
+        rc = main(["bound", "--T", "12", "--k", "3", "--rho", "0.005", *argv])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", [["synth-window", "--k", "2"], ["synth-cumulative"]],
+                             ids=["window", "cumulative"])
+    @pytest.mark.parametrize("rho, message", [
+        ("inf", "rho must be finite for a noisy run"),
+        ("nan", "rho must be positive for a noisy run"),
+    ], ids=["inf", "nan"])
+    def test_non_finite_rho_exit_code(self, tmp_path, capsys, command, rho, message):
+        rc = main([*command, "--rho", rho, "--sim-kind", "bernoulli", "--n", "10",
+                   "--T", "4", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_fractional_query_round_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("0,1,1,0\n")
+        rc = main(["eval", "--data", str(data), "--queries", '{"kind":"window","s":"01","t":3.7}'])
+        assert rc == 2
+        assert "TypeError: expected an integer, got 3.7" in capsys.readouterr().err
+
     def test_query_past_the_data_exit_code(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("0,1,1,0,0,1,1,0,0,1,1,0\n")

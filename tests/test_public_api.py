@@ -18,12 +18,19 @@ REMOVED = [
     ("model", "all_suffixes"),
     ("queries", "debias_fraction"),
     ("queries", "_check_supported"),
+    ("window", "compute_n_pad"),
+    ("window", "compute_error_bound"),
+    ("window", "compute_relative_error_bound"),
+    ("cumulative", "accuracy_of"),
+    ("dp", "split_cumulative"),
+    ("dp", "cumulative_split_weights"),
 ]
 REMOVED_ATTRIBUTES = [
     ("model", "SuffixHistogram", "as_dict"),
     ("dp", "ZCDPAccountant", "to_approx_dp"),
     ("cumulative", "CumulativeSynthesizer", "released_count"),
     ("window", "WindowSynthesizer", "_noise"),
+    ("window", "WindowSynthesizer", "sigma2"),
 ]
 
 

@@ -50,6 +50,27 @@ class TestQuerySpec:
                   QuerySpec.linear({"11": 2.0}, 3)):
             assert parse_queries([q.to_dict()])[0] == q
 
+    @pytest.mark.parametrize("entry", [
+        '{"kind":"window","s":"01","t":3.7}',
+        '{"kind":"window","s":"01","t":3.0}',
+        '{"kind":"window","s":"01","t":"2"}',
+        '{"kind":"window","s":"01","t":true}',
+        '{"kind":"window","s":"01","t":[2,3.5]}',
+        '{"kind":"cum","b":true,"t":3}',
+        '{"kind":"cum","b":1.5,"t":3}',
+        '{"kind":"cum","b":"1","t":3}',
+        '{"kind":"linear","t":4.2,"weights":{"11":1}}',
+    ])
+    def test_rounds_and_thresholds_must_be_integers(self, entry):
+        with pytest.raises(ValueError, match="bad query entry .*expected an integer"):
+            parse_queries(entry)
+
+    def test_integer_rounds_and_thresholds_parse_as_given(self):
+        qs = parse_queries('[{"kind":"cum","b":0,"t":[1,3]},{"kind":"window","s":"1","t":2}]')
+        assert [(q.kind, q.b, q.t) for q in qs] == [
+            ("cumulative", 0, 1), ("cumulative", 0, 3), ("window", None, 2)
+        ]
+
 
 class TestEvalQuery:
     def test_all_ones_window(self):

@@ -11,62 +11,67 @@ from panelsynth.window import (
     PaddingExhaustedError,
     WindowSynthConfig,
     WindowSynthesizer,
-    compute_error_bound,
-    compute_n_pad,
-    compute_relative_error_bound,
     split_consistent,
 )
+
+
+def _n_pad(T, k, rho, beta_target):
+    return WindowSynthConfig(T=T, k=k, rho=rho, beta_target=beta_target).resolved_n_pad()
+
+
+def _error_bound(T, k, rho, beta):
+    return WindowSynthConfig(T=T, k=k, rho=rho).guarantee(1, beta)["error_bound"]
 
 
 class TestComputeNPad:
     def test_reference_configuration(self):
         # ceil(sqrt(2000 * ln 8000)) for T=12, k=3, rho=0.005, beta=0.01
-        assert compute_n_pad(12, 3, 0.005, 0.01) == 135
+        assert _n_pad(12, 3, 0.005, 0.01) == 135
 
     def test_tiny_for_huge_budget(self):
-        assert compute_n_pad(3, 3, 1e9, 0.5) == 1
+        assert _n_pad(3, 3, 1e9, 0.5) == 1
 
     def test_monotone_in_horizon(self):
-        values = [compute_n_pad(T, 3, 0.01, 0.05) for T in range(3, 40)]
+        values = [_n_pad(T, 3, 0.01, 0.05) for T in range(3, 40)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_rejects_zero_rho(self):
         with pytest.raises(ValueError):
-            compute_n_pad(12, 3, 0.0, 0.01)
+            _n_pad(12, 3, 0.0, 0.01)
 
 
 class TestErrorBounds:
     def test_reference_value(self):
         want = (math.sqrt(2000) + 1 / math.sqrt(2)) * math.sqrt(math.log(1600))
-        got = compute_error_bound(12, 3, 0.005, 0.05)
+        got = _error_bound(12, 3, 0.005, 0.05)
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(123.3929, abs=5e-4)
 
     def test_decreasing_in_beta(self):
-        bounds = [compute_error_bound(12, 3, 0.005, b) for b in (0.01, 0.05, 0.2, 0.5)]
+        bounds = [_error_bound(12, 3, 0.005, b) for b in (0.01, 0.05, 0.2, 0.5)]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
     def test_huge_budget_limit_is_rounding_term(self):
         limit = (1 / math.sqrt(2)) * math.sqrt(math.log((2**3) * 10 / 0.05))
-        assert compute_error_bound(12, 3, 1e18, 0.05) == pytest.approx(limit, rel=1e-6)
+        assert _error_bound(12, 3, 1e18, 0.05) == pytest.approx(limit, rel=1e-6)
 
     def test_relative_small_bin(self):
-        lam = compute_error_bound(12, 3, 0.005, 0.05)
-        assert compute_relative_error_bound(12, 3, 0.005, 0.05, 1000, 0.0) == pytest.approx(
+        lam = _error_bound(12, 3, 0.005, 0.05)
+        cfg = WindowSynthConfig(T=12, k=3, rho=0.005)
+        assert cfg.relative_error_bound(1000, 0.05, 0.0) == pytest.approx(
             2 * lam / 1000
         )
 
     def test_relative_full_bin_k1(self):
-        lam = compute_error_bound(12, 1, 0.005, 0.05)
-        assert compute_relative_error_bound(12, 1, 0.005, 0.05, 500, 1.0) == pytest.approx(
+        lam = _error_bound(12, 1, 0.005, 0.05)
+        cfg = WindowSynthConfig(T=12, k=1, rho=0.005)
+        assert cfg.relative_error_bound(500, 0.05, 1.0) == pytest.approx(
             6 * lam / 500
         )
 
     def test_relative_monotone_in_c_frac(self):
-        vals = [
-            compute_relative_error_bound(12, 3, 0.005, 0.05, 1000, c)
-            for c in (0.0, 0.25, 0.5, 1.0)
-        ]
+        cfg = WindowSynthConfig(T=12, k=3, rho=0.005)
+        vals = [cfg.relative_error_bound(1000, 0.05, c) for c in (0.0, 0.25, 0.5, 1.0)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
@@ -303,7 +308,7 @@ class TestBoundMonteCarloSmall:
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, 400, T, p=0.35)
         cfg = WindowSynthConfig(T=T, k=k, rho=rho, beta_target=0.05)
-        bound = compute_error_bound(T, k, rho, beta)
+        bound = cfg.guarantee(400, beta)["error_bound"]
         within = 0
         runs = 200
         failures = 0
