@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .counters import MonotoneBank, TreeCounter, tree_noise_sigma2
+from .counters import MonotoneBank, TreeCounter
 from .cumulative import CumulativeSynthConfig, CumulativeSynthesizer
 from .dp import (
     BitSource,
@@ -55,7 +55,6 @@ __all__ = [
     "split_consistent",
     "suffix_index",
     "suffix_string",
-    "tree_noise_sigma2",
     "true_cumulative_counts",
     "true_suffix_histogram",
     "zcdp_to_approx_dp",

@@ -2,27 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from .dp import BitSource, DiscreteGaussianSampler, ceil_log2
 
-__all__ = ["MonotoneBank", "TreeCounter", "tree_noise_sigma2"]
-
-
-def tree_noise_sigma2(horizon: int, rho: float) -> Fraction:
-    """Per-node noise variance ln(horizon) / (2 rho) for a tree counter.
-
-    The formula gives 0 at horizon 1, which would release an exact count, so
-    a one-step counter is bumped to ln(2) / (2 rho).
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if not 0 < rho < math.inf:
-        raise ValueError("rho must be positive and finite (noiseless=True gives an exact counter)")
-    return Fraction(math.log(max(horizon, 2))) / (2 * Fraction(rho))
+__all__ = ["MonotoneBank", "TreeCounter"]
 
 
 class TreeCounter:
@@ -30,28 +16,23 @@ class TreeCounter:
 
     Register j holds the running sum of a dyadic block of 2**j stream values.
     On round t, the lowest set bit of t names the register that absorbs all
-    lower registers plus the new value; that register alone is re-noised, and
-    the released prefix sum adds the noisy registers picked out by t's binary
-    expansion. Register folds are exact integer arithmetic, so all outputs
-    are integers.
+    lower registers plus the new value; that register alone is re-noised with
+    variance sigma2 (0 gives an exact counter), and the released prefix sum
+    adds the noisy registers picked out by t's binary expansion. Register
+    folds are exact integer arithmetic, so all outputs are integers.
     """
 
-    def __init__(self, horizon: int, rho: float | None = None, rng=None, noiseless: bool = False):
+    def __init__(self, horizon: int, sigma2: Fraction, rng=None):
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
         self.horizon = int(horizon)
         self.registers = ceil_log2(self.horizon) + 1
-        if noiseless:
-            self.sigma2 = Fraction(0)
-        else:
-            if rho is None:
-                raise ValueError("rho is required for a noisy counter (or pass noiseless=True)")
-            self.sigma2 = tree_noise_sigma2(self.horizon, rho)
-            if rng is None:
-                raise ValueError("a random source is required for a noisy counter")
         # at sigma2 = 0 the sampler returns 0 and reads no bits
-        self._sampler = DiscreteGaussianSampler(self.sigma2)
-        self._bits = rng if isinstance(rng, BitSource) else BitSource(rng)
+        self._sampler = DiscreteGaussianSampler(sigma2)
+        self.sigma2 = self._sampler.sigma2
+        if self.sigma2 and rng is None:
+            raise ValueError("a random source is required for a noisy counter")
+        self._bits = BitSource(rng)
         self.t = 0
         self.alpha = [0] * self.registers
         self.alpha_noisy = [0] * self.registers
@@ -99,17 +80,13 @@ class MonotoneBank:
         if m < 0:
             raise ValueError("population size must be non-negative")
         self.T = int(T)
-        self.m = int(m)
         self.hat = np.zeros((T + 1, T + 1), dtype=np.int64)
-        self.hat[0, :] = self.m
-        self._filled = np.zeros((T + 1, T + 1), dtype=bool)
-        self._filled[0, :] = True
-        self._filled[:, 0] = True
-        for t in range(T + 1):
-            self._filled[t + 1:, t] = True
+        self.hat[0, :] = m
+        # cell (b, t) is set iff t <= _last[b]: row 0 and the cells t < b from the start
+        self._last = [self.T] + list(range(self.T))
 
     def value(self, b: int, t: int) -> int:
-        if not self._filled[b, t]:
+        if t > self._last[b]:
             raise RuntimeError(f"hat_S[b={b}, t={t}] has not been set yet")
         return int(self.hat[b, t])
 
@@ -117,20 +94,20 @@ class MonotoneBank:
         """Clamp a noisy count into [hat_S[b, t-1], hat_S[b-1, t-1]] and store it."""
         if not (1 <= b <= t <= self.T):
             raise ValueError(f"monotonize needs 1 <= b <= t <= T, got b={b}, t={t}")
-        if not (self._filled[b, t - 1] and self._filled[b - 1, t - 1]):
+        if t - 1 > self._last[b] or t - 1 > self._last[b - 1]:
             raise RuntimeError(f"predecessors of (b={b}, t={t}) are not filled yet")
         lo = int(self.hat[b, t - 1])
         hi = int(self.hat[b - 1, t - 1])
         value = min(max(int(s_tilde), lo), hi)
         self.hat[b, t] = value
-        self._filled[b, t] = True
+        self._last[b] = max(self._last[b], t)
         return value
 
     def validate(self) -> None:
         """Assert the two-sided monotonicity invariants on all filled cells."""
         for t in range(1, self.T + 1):
             for b in range(1, self.T + 1):
-                if not self._filled[b, t]:
+                if t > self._last[b]:
                     continue
                 lo = self.hat[b, t - 1]
                 hi = self.hat[b - 1, t - 1]

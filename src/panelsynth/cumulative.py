@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,7 +35,7 @@ class CumulativeSynthConfig:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("horizon must be at least 1")
-        if not self.noiseless and not self.rho > 0:  # NaN included
+        if not self.noiseless and not min(self.resolved_schedule()) > 0:  # NaN and zero shares too
             raise ValueError("rho must be positive for a noisy run")
         if not self.noiseless and self.rho == math.inf:
             raise ValueError("rho must be finite for a noisy run")
@@ -51,6 +52,13 @@ class CumulativeSynthConfig:
             return (0.0,) * self.T
         w = self.split_weights()
         return tuple((self.rho * (w / w.sum())).tolist())
+
+    def counter_sigma2(self) -> tuple[Fraction, ...]:
+        """Register variance ln(max(T - b + 1, 2)) / (2 rho_b) of counter b; 0 when noiseless."""
+        if self.noiseless:
+            return (Fraction(0),) * self.T
+        return tuple(Fraction(math.log(max(self.T - b + 1, 2))) / (2 * Fraction(rho_b))
+                     for b, rho_b in enumerate(self.resolved_schedule(), start=1))
 
     def public(self) -> dict:
         """Public engine parameters for metadata.json; no window, padding or padding failure."""
@@ -71,8 +79,11 @@ class CumulativeSynthConfig:
             raise ValueError("beta must lie in (0, 1)")
         if self.noiseless:
             return {"error_bound": 0.0, "alpha_star": 0.0}
+        log_term = math.log(1.0 / beta)
+        if not math.isfinite(log_term):
+            raise ValueError(f"beta {beta!r} is too small for a finite bound")
         weights = self.split_weights()
-        alpha_star = math.sqrt(float(weights.sum()) / self.rho * math.log(1.0 / beta)) / n
+        alpha_star = math.sqrt(float(weights.sum()) / self.rho * log_term) / n
         return {"error_bound": alpha_star * n, "alpha_star": alpha_star}
 
     def synthesizer(self, n: int, rng=None) -> "CumulativeSynthesizer":
@@ -93,22 +104,18 @@ class CumulativeSynthesizer:
     """
 
     def __init__(self, n: int, cfg: CumulativeSynthConfig, rng=None):
-        if n < 1:
-            raise ValueError("population size must be at least 1")
         self.cfg = cfg
         self.n = int(n)
+        self.store = SyntheticStore(self.n)  # refuses n < 1
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         streams = rng.spawn(cfg.T + 1)
-        self.schedule = cfg.resolved_schedule()
         self.counters = {
-            b: TreeCounter(cfg.T - b + 1, self.schedule[b - 1], streams[b - 1],
-                           noiseless=cfg.noiseless)
-            for b in range(1, cfg.T + 1)
+            b: TreeCounter(cfg.T - b + 1, sigma2, streams[b - 1])
+            for b, sigma2 in enumerate(cfg.counter_sigma2(), start=1)
         }
         self._select = streams[cfg.T]
         self.bank = MonotoneBank(cfg.T, m=self.n)
-        self.store = SyntheticStore(self.n)
         # smallest unsigned dtype holding T: weights of at most 16 bits take
         # numpy's radix argsort, and the per-round `+= column` adds bytes
         self._synth_weights = np.zeros(self.n, dtype=np.min_scalar_type(cfg.T))
@@ -116,8 +123,8 @@ class CumulativeSynthesizer:
         self.s_tilde = np.zeros((cfg.T + 1, cfg.T + 1), dtype=np.int64)
         self.accountant = ZCDPAccountant()
         if not cfg.noiseless:
-            for b in range(1, cfg.T + 1):
-                self.accountant.charge(f"counter b={b}", self.schedule[b - 1])
+            for b, rho_b in enumerate(cfg.resolved_schedule(), start=1):
+                self.accountant.charge(f"counter b={b}", rho_b)
         self.t = 0
 
     def step(self, dataset: LongitudinalDataset, t: int) -> np.ndarray:

@@ -231,8 +231,10 @@ class RunManifest:
             raise InputError("reps must be at least 1")
         if self.workers < 1:
             raise InputError("workers must be at least 1")
-        if not 0 < self.beta < 1:
-            raise InputError("beta must lie in (0, 1)")
+        try:  # the config's checks of beta, outside (0, 1) or too small for a finite bound
+            self.synth.guarantee(1, self.beta)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
 
 
 @dataclass

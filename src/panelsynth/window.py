@@ -92,6 +92,7 @@ class WindowSynthConfig:
             raise ValueError("rho must be positive for a noisy run")
         if not self.noiseless and self.rho == math.inf:
             raise ValueError("rho must be finite for a noisy run")
+        self.resolved_n_pad()  # refuses a beta_target too small for a finite padding
 
     @property
     def update_steps(self) -> int:
@@ -104,6 +105,13 @@ class WindowSynthConfig:
             return Fraction(0)
         return Fraction(self.update_steps) / (2 * Fraction(self.rho))
 
+    def _log_term(self, beta: float, name: str) -> float:
+        """ln(2**k (T - k + 1) / beta), the log factor of the padding and the bound."""
+        value = math.log((1 << self.k) * self.update_steps / beta)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} {beta!r} is too small for a finite bound")
+        return value
+
     def per_step_rho(self) -> float:
         return 0.0 if self.noiseless else self.rho / self.update_steps
 
@@ -114,7 +122,7 @@ class WindowSynthConfig:
         if self.noiseless:
             return 0
         r = self.update_steps
-        return math.ceil(math.sqrt(r / self.rho * math.log((1 << self.k) * r / self.beta_target)))
+        return math.ceil(math.sqrt(r / self.rho * self._log_term(self.beta_target, "beta_target")))
 
     def public(self) -> dict:
         """The release's public engine parameters, as a bundle's metadata records them."""
@@ -129,9 +137,8 @@ class WindowSynthConfig:
             raise ValueError("beta must lie in (0, 1)")
         if self.noiseless:
             return {"error_bound": 0.0, "alpha_star": None}
-        r = self.update_steps
-        bound = (math.sqrt(r / self.rho) + 1.0 / math.sqrt(2.0)) * math.sqrt(
-            math.log((1 << self.k) * r / beta)
+        bound = (math.sqrt(self.update_steps / self.rho) + 1.0 / math.sqrt(2.0)) * math.sqrt(
+            self._log_term(beta, "beta")
         )
         return {"error_bound": bound, "alpha_star": None}
 

@@ -1,5 +1,6 @@
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,6 +189,81 @@ def accuracy_of(cfg: CumulativeSynthConfig, n: int, beta: float) -> tuple[float,
     weights = cumulative_split_weights(cfg.T)
     alpha_star = math.sqrt(float(weights.sum()) / cfg.rho * math.log(1.0 / beta)) / n
     return alpha_star, cfg.T * beta
+
+
+# The tree counter's noise formula and the boolean-shadow monotone bank that
+# CumulativeSynthConfig.counter_sigma2 and counters.MonotoneBank replaced,
+# kept verbatim as their oracles (tests/test_configs.py, tests/test_counters.py).
+
+
+def tree_noise_sigma2(horizon: int, rho: float) -> Fraction:
+    """Per-node noise variance ln(horizon) / (2 rho) for a tree counter.
+
+    The formula gives 0 at horizon 1, which would release an exact count, so
+    a one-step counter is bumped to ln(2) / (2 rho).
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite (noiseless=True gives an exact counter)")
+    return Fraction(math.log(max(horizon, 2))) / (2 * Fraction(rho))
+
+
+class MonotoneBankReference:
+    """Monotonized cumulative-count estimates hat_S[b, t].
+
+    Row b = 0 is pinned to the public population size (no noise, no budget
+    spent); column t = 0 and the region b > t are structurally zero. Cells
+    with 1 <= b <= t are filled round by round through :meth:`monotonize`,
+    which needs hat_S[b, t-1] and hat_S[b-1, t-1] already final.
+    """
+
+    def __init__(self, T: int, m: int):
+        if T < 1:
+            raise ValueError("horizon must be at least 1")
+        if m < 0:
+            raise ValueError("population size must be non-negative")
+        self.T = int(T)
+        self.m = int(m)
+        self.hat = np.zeros((T + 1, T + 1), dtype=np.int64)
+        self.hat[0, :] = self.m
+        self._filled = np.zeros((T + 1, T + 1), dtype=bool)
+        self._filled[0, :] = True
+        self._filled[:, 0] = True
+        for t in range(T + 1):
+            self._filled[t + 1:, t] = True
+
+    def value(self, b: int, t: int) -> int:
+        if not self._filled[b, t]:
+            raise RuntimeError(f"hat_S[b={b}, t={t}] has not been set yet")
+        return int(self.hat[b, t])
+
+    def monotonize(self, b: int, t: int, s_tilde: int) -> int:
+        """Clamp a noisy count into [hat_S[b, t-1], hat_S[b-1, t-1]] and store it."""
+        if not (1 <= b <= t <= self.T):
+            raise ValueError(f"monotonize needs 1 <= b <= t <= T, got b={b}, t={t}")
+        if not (self._filled[b, t - 1] and self._filled[b - 1, t - 1]):
+            raise RuntimeError(f"predecessors of (b={b}, t={t}) are not filled yet")
+        lo = int(self.hat[b, t - 1])
+        hi = int(self.hat[b - 1, t - 1])
+        value = min(max(int(s_tilde), lo), hi)
+        self.hat[b, t] = value
+        self._filled[b, t] = True
+        return value
+
+    def validate(self) -> None:
+        """Assert the two-sided monotonicity invariants on all filled cells."""
+        for t in range(1, self.T + 1):
+            for b in range(1, self.T + 1):
+                if not self._filled[b, t]:
+                    continue
+                lo = self.hat[b, t - 1]
+                hi = self.hat[b - 1, t - 1]
+                if not lo <= self.hat[b, t] <= hi:
+                    raise AssertionError(
+                        f"monotonicity violated at b={b}, t={t}: "
+                        f"{lo} <= {self.hat[b, t]} <= {hi} fails"
+                    )
 
 
 @pytest.fixture(scope="session")

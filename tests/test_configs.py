@@ -1,9 +1,9 @@
 """The engine configs' budget arithmetic and the values it accepts.
 
 The oracles in conftest are the free functions the config methods replaced,
-verbatim. Every value must match with exact ``==``: bundles and ``bound``
-print these floats with repr, so a reordered float expression would change
-their bytes.
+verbatim, the tree counters' noise formula among them. Every value must
+match with exact ``==``: bundles and ``bound`` print these floats with repr,
+so a reordered float expression would change their bytes.
 """
 
 import contextlib
@@ -22,10 +22,11 @@ from conftest import (
     compute_relative_error_bound,
     cumulative_split_weights,
     split_cumulative,
+    tree_noise_sigma2,
 )
 from panelsynth.cli import main
-from panelsynth.cumulative import CumulativeSynthConfig
-from panelsynth.window import WindowSynthConfig
+from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
+from panelsynth.window import WindowSynthConfig, WindowSynthesizer
 
 RHOS = st.floats(1e-6, 1e6)
 PROBABILITIES = st.floats(1e-12, 1.0, exclude_max=True)
@@ -81,6 +82,25 @@ class TestCumulativeConfig:
         assert printed["alpha_star"] == alpha_star
         assert printed["beta_star"] == beta_star
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 300), RHOS)
+    def test_counter_sigma2_matches_tree_noise_sigma2(self, T, rho):
+        cfg = CumulativeSynthConfig(T=T, rho=rho)
+        schedule = cfg.resolved_schedule()
+        want = tuple(tree_noise_sigma2(T - b + 1, schedule[b - 1]) for b in range(1, T + 1))
+        assert cfg.counter_sigma2() == want
+
+
+@pytest.mark.parametrize("noiseless", [False, True], ids=["noisy", "noiseless"])
+def test_each_engine_samples_with_its_config_variance(noiseless):
+    window = WindowSynthConfig(T=6, k=2, rho=0.3, noiseless=noiseless)
+    assert WindowSynthesizer(window, 1)._sampler.sigma2 == window.sigma2
+    cumulative = CumulativeSynthConfig(T=6, rho=0.3, noiseless=noiseless)
+    counters = CumulativeSynthesizer(20, cumulative, 1).counters
+    assert sorted(counters) == [1, 2, 3, 4, 5, 6]
+    assert tuple(counters[b].sigma2 for b in range(1, 7)) == cumulative.counter_sigma2()
+    assert all(sigma2 == 0 for sigma2 in cumulative.counter_sigma2()) == noiseless
+
 
 NOISY_CONFIGS = [
     lambda rho: WindowSynthConfig(T=12, k=3, rho=rho),
@@ -95,11 +115,33 @@ def test_noisy_config_refuses_rho_that_is_not_positive_and_finite(make, rho):
         make(rho)
 
 
+def test_cumulative_config_refuses_a_rho_whose_split_underflows():
+    # a zero share would make its counter's variance ln(H) / 0
+    assert min(CumulativeSynthConfig(T=120, rho=1e-300).resolved_schedule()) > 0
+    with pytest.raises(ValueError, match="rho must be positive for a noisy run"):
+        CumulativeSynthConfig(T=120, rho=1e-320)
+
+
 @pytest.mark.parametrize("make", NOISY_CONFIGS, ids=["window", "cumulative"])
 @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, -0.1, math.nan])
 def test_guarantee_refuses_beta_outside_the_unit_interval(make, beta):
     with pytest.raises(ValueError, match="beta must lie in"):
         make(0.1).guarantee(100, beta)
+
+
+@pytest.mark.parametrize("make", NOISY_CONFIGS, ids=["window", "cumulative"])
+def test_guarantee_refuses_beta_too_small_for_a_finite_bound(make):
+    assert math.isfinite(make(0.1).guarantee(100, 1e-300)["error_bound"])
+    with pytest.raises(ValueError, match="beta 1e-320 is too small for a finite bound"):
+        make(0.1).guarantee(100, 1e-320)
+
+
+def test_window_config_refuses_beta_target_too_small_for_a_finite_padding():
+    with pytest.raises(ValueError, match="beta_target 1e-310 is too small for a finite bound"):
+        WindowSynthConfig(T=12, k=3, rho=0.1, beta_target=1e-310)
+    # the padding is not derived from beta_target when it is given or when noiseless
+    assert WindowSynthConfig(T=12, k=3, rho=0.1, beta_target=1e-310, n_pad=4).n_pad == 4
+    assert WindowSynthConfig(T=12, k=3, beta_target=1e-310, noiseless=True).resolved_n_pad() == 0
 
 
 @pytest.mark.parametrize("n, c_frac, message", [

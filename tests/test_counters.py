@@ -1,12 +1,18 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panelsynth.counters import MonotoneBank, TreeCounter, tree_noise_sigma2
+from conftest import MonotoneBankReference
+from panelsynth.counters import MonotoneBank, TreeCounter
+from panelsynth.cumulative import CumulativeSynthConfig
 from panelsynth.dp import ceil_log2
+
+# ln(T) / (2 rho) at T = 8, rho = 0.5
+LN8 = Fraction(math.log(8))
 
 
 def _renoised_registers(counter: TreeCounter, stream) -> list[int]:
@@ -21,35 +27,39 @@ def _renoised_registers(counter: TreeCounter, stream) -> list[int]:
 
 class TestTreeNoiseScale:
     def test_reference_value(self):
-        assert float(tree_noise_sigma2(8, 0.5)) == pytest.approx(math.log(8), rel=1e-12)
+        # counter b = 1 of T = 8 watches 8 rounds and gets 27/126 of rho, here 0.5
+        sigma2 = CumulativeSynthConfig(T=8, rho=0.5 * 126 / 27).counter_sigma2()[0]
+        assert float(sigma2) == pytest.approx(math.log(8), rel=1e-12)
 
     def test_one_step_counter_still_noisy(self):
         # ln(1) = 0 would release an exact count; the guard substitutes ln(2)
-        assert float(tree_noise_sigma2(1, 0.5)) == pytest.approx(math.log(2), rel=1e-12)
+        (sigma2,) = CumulativeSynthConfig(T=1, rho=0.5).counter_sigma2()
+        assert float(sigma2) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_noiseless_sentinel(self):
         # noiseless is sigma2 = 0: the counter needs no random source and its sampler draws 0
-        counter = TreeCounter(8, noiseless=True)
+        assert CumulativeSynthConfig(T=8, noiseless=True).counter_sigma2() == (0,) * 8
+        counter = TreeCounter(8, 0)
         assert counter.sigma2 == 0
         assert [counter.feed(1) for _ in range(8)] == list(range(1, 9))
 
     def test_rejects_zero_rho(self):
         for rho in (0.0, math.inf, math.nan):  # infinity is not a noiseless sentinel
             with pytest.raises(ValueError):
-                tree_noise_sigma2(8, rho)
+                CumulativeSynthConfig(T=8, rho=rho)
 
 
 class TestTreeCounterExact:
     def test_noiseless_prefix_sums(self):
-        counter = TreeCounter(8, noiseless=True)
+        counter = TreeCounter(8, 0)
         assert [counter.feed(z) for z in (1, 2, 3)] == [1, 3, 6]
 
     def test_register_count(self):
         for T, want in ((1, 1), (2, 2), (5, 4), (8, 4), (9, 5)):
-            assert TreeCounter(T, noiseless=True).registers == ceil_log2(T) + 1
+            assert TreeCounter(T, 0).registers == ceil_log2(T) + 1
 
     def test_t3_sums_two_registers(self):
-        counter = TreeCounter(8, noiseless=True)
+        counter = TreeCounter(8, 0)
         counter.feed(5)
         counter.feed(7)
         counter.feed(11)
@@ -57,14 +67,14 @@ class TestTreeCounterExact:
         assert counter.alpha[0] == 11 and counter.alpha[1] == 12
 
     def test_t4_folds_into_single_register(self):
-        counter = TreeCounter(8, noiseless=True)
+        counter = TreeCounter(8, 0)
         assert _renoised_registers(counter, (1, 2, 3, 4)) == [1, 3, 3, 10]
         # t = 4 = 0b100: registers 0 and 1 were folded and zeroed
         assert counter.alpha[2] == 10
         assert counter.alpha[0] == 0 and counter.alpha[1] == 0
 
     def test_feed_past_horizon(self):
-        counter = TreeCounter(2, noiseless=True)
+        counter = TreeCounter(2, 0)
         counter.feed(0)
         counter.feed(0)
         with pytest.raises(ValueError, match="horizon"):
@@ -72,10 +82,14 @@ class TestTreeCounterExact:
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
-            TreeCounter(4, noiseless=True).feed(-1)
+            TreeCounter(4, 0).feed(-1)
+
+    def test_noisy_counter_needs_a_random_source(self):
+        with pytest.raises(ValueError, match="a random source is required for a noisy counter"):
+            TreeCounter(8, LN8)
 
     def test_noisy_outputs_are_integers(self):
-        counter = TreeCounter(8, 0.5, np.random.default_rng(3))
+        counter = TreeCounter(8, LN8, np.random.default_rng(3))
         outs = [counter.feed(z) for z in range(1, 9)]
         assert all(isinstance(v, int) for v in outs)
 
@@ -90,8 +104,8 @@ class TestTreeCounterNeighborSensitivity:
         for t0 in range(T):
             neighbor = stream.copy()
             neighbor[t0] += 1
-            a = _renoised_registers(TreeCounter(T, noiseless=True), stream)
-            b = _renoised_registers(TreeCounter(T, noiseless=True), neighbor)
+            a = _renoised_registers(TreeCounter(T, 0), stream)
+            b = _renoised_registers(TreeCounter(T, 0), neighbor)
             differing = sum(x != y for x, y in zip(a, b))
             assert differing <= ceil_log2(T) + 1
 
@@ -100,14 +114,14 @@ class TestTreeCounterAccuracyShape:
     def test_error_tail_monte_carlo(self):
         # |noisy - true| should exceed 6 * sqrt(sigma2 * max(ceil(log2 t), 1))
         # in far less than 0.1% of (run, t) pairs
-        T, rho = 8, 0.5
+        T = 8
         runs = 10_000
-        sigma2 = float(tree_noise_sigma2(T, rho))
+        sigma2 = float(LN8)
         rng = np.random.default_rng(2024)
         exceed = 0
         total = 0
         for ss in rng.spawn(runs):
-            counter = TreeCounter(T, rho, ss)
+            counter = TreeCounter(T, LN8, ss)
             truth = 0
             for t in range(1, T + 1):
                 z = t % 3
@@ -117,6 +131,30 @@ class TestTreeCounterAccuracyShape:
                 exceed += abs(noisy - truth) > bound
                 total += 1
         assert exceed / total < 0.001
+
+
+def _outcome(call):
+    """A call's return value, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - every exception is part of the contract
+        return type(exc), str(exc)
+
+
+@st.composite
+def bank_sessions(draw):
+    """A horizon, a population and a sequence of bank calls, some with corrupted cells."""
+    T = draw(st.integers(1, 5))
+    cell = st.tuples(st.integers(0, T), st.integers(0, T))
+    ops = st.one_of(
+        st.tuples(st.just("monotonize"), st.integers(0, T + 1), st.integers(0, T + 1),
+                  st.integers(-40, 40)),
+        st.tuples(st.just("round"), st.integers(1, T), st.integers(-40, 40)),
+        st.tuples(st.just("value"), cell),
+        st.tuples(st.just("validate")),
+        st.tuples(st.just("corrupt"), cell, st.integers(-40, 40)),
+    )
+    return T, draw(st.integers(0, 30)), draw(st.lists(ops, max_size=60))
 
 
 class TestMonotoneBank:
@@ -162,3 +200,28 @@ class TestMonotoneBank:
         v3 = bank.monotonize(2, 2, s3)
         assert 0 <= v3 <= v1
         bank.validate()
+
+    @settings(deadline=None, max_examples=300)
+    @given(bank_sessions())
+    def test_matches_reference_bank(self, session):
+        # same values, exception types and messages as the boolean-shadow bank it replaced
+        T, m, ops = session
+        banks = MonotoneBank(T, m), MonotoneBankReference(T, m)
+        for op in ops:
+            if op[0] == "corrupt":
+                for bank in banks:
+                    bank.hat[op[1]] = op[2]
+                continue
+            if op[0] == "round":  # every threshold of round t, as the engine calls them
+                calls = [lambda bank, b=b: bank.monotonize(b, op[1], op[2] - b)
+                         for b in range(1, op[1] + 1)]
+            elif op[0] == "monotonize":
+                calls = [lambda bank: bank.monotonize(*op[1:])]
+            elif op[0] == "value":
+                calls = [lambda bank: bank.value(*op[1])]
+            else:
+                calls = [lambda bank: bank.validate()]
+            for call in calls:
+                outcomes = [_outcome(lambda: call(bank)) for bank in banks]
+                assert outcomes[0] == outcomes[1], op
+        assert np.array_equal(banks[0].hat, banks[1].hat)

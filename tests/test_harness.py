@@ -584,6 +584,27 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--T", "12", "--k", "3", "--beta", "1e-320", "--n", "100", "--c-frac", "0"],
+         "beta 1e-320 is too small for a finite bound"),
+        (["--mode", "cumulative", "--T", "12", "--beta", "1e-320", "--n", "100"],
+         "beta 1e-320 is too small for a finite bound"),
+        (["--T", "12", "--k", "3", "--beta-target", "1e-310"],
+         "beta_target 1e-310 is too small for a finite bound"),
+    ], ids=["window-beta", "cumulative-beta", "beta-target"])
+    def test_tiny_probability_bound_exit_code(self, capsys, argv, message):
+        # the log term would overflow and print Infinity or NaN, which is not JSON
+        rc = main(["bound", "--rho", "0.005", *argv])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_tiny_beta_sweep_exit_code(self, tmp_path, capsys):
+        rc = main(["synth-cumulative", "--sim-kind", "bernoulli", "--n", "100", "--T", "12",
+                   "--rho", "0.005", "--beta", "1e-320", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: beta 1e-320 is too small for a finite bound\n"
+        assert not (tmp_path / "run" / "metadata.json").exists()
+
     @pytest.mark.parametrize("command", [["synth-window", "--k", "2"], ["synth-cumulative"]],
                              ids=["window", "cumulative"])
     @pytest.mark.parametrize("rho, message", [

@@ -18,6 +18,7 @@ def test_invariant_checks_survive_python_O(tmp_path):
             "--rootdir", str(tmp_path),
             str(TESTS / "test_window.py") + "::TestReleaseInvariant",
             str(TESTS / "test_cumulative.py") + "::TestReleaseInvariant",
+            str(TESTS / "test_counters.py") + "::TestMonotoneBank",
         ],
         capture_output=True,
         text=True,
@@ -26,4 +27,4 @@ def test_invariant_checks_survive_python_O(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 passed" in proc.stdout
+    assert "11 passed" in proc.stdout

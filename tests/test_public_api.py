@@ -24,6 +24,7 @@ REMOVED = [
     ("cumulative", "accuracy_of"),
     ("dp", "split_cumulative"),
     ("dp", "cumulative_split_weights"),
+    ("counters", "tree_noise_sigma2"),
 ]
 REMOVED_ATTRIBUTES = [
     ("model", "SuffixHistogram", "as_dict"),
