@@ -51,19 +51,24 @@ class PaddingExhaustedError(RuntimeError):
         )
 
 
-def split_consistent(prev_mass: int, c_hat0: int, c_hat1: int, rounding_bit: int = 0):
-    """Target counts (p_z0, p_z1) for one overlap group.
+def split_consistent(masses: np.ndarray, c_hat: np.ndarray, bits: BitSource) -> np.ndarray:
+    """Counts p for every overlap group z, bins z0 and z1 interleaved as in c_hat.
 
-    Moves both noisy counts by the same correction so that
-    p_z0 + p_z1 == prev_mass exactly. When the correction is a half-integer,
-    rounding_bit (+1 or -1) decides which side absorbs the extra half.
+    Moves both noisy counts of group z by the same correction so that
+    p[2z] + p[2z+1] == masses[z] exactly. Where the correction is a
+    half-integer, one rounding bit per such group, all read in one call in
+    ascending z, decides which side absorbs the extra half (a set bit: z0).
     """
-    d2 = prev_mass - c_hat0 - c_hat1
-    if d2 & 1:
-        if rounding_bit not in (-1, 1):
-            raise ValueError("half-integer correction needs a rounding bit of -1 or +1")
-        return c_hat0 + (d2 + rounding_bit) // 2, c_hat1 + (d2 - rounding_bit) // 2
-    return c_hat0 + d2 // 2, c_hat1 + d2 // 2
+    c0 = c_hat[0::2]
+    d = masses - c0 - c_hat[1::2]
+    odd = np.flatnonzero(d & 1)
+    r = np.zeros_like(d)
+    word = bits.getbits(odd.size).to_bytes((odd.size + 7) // 8, "little")
+    r[odd] = np.unpackbits(np.frombuffer(word, dtype=np.uint8), count=odd.size, bitorder="little")
+    p = np.empty_like(c_hat)
+    p[0::2] = c0 + (d >> 1) + r
+    p[1::2] = masses - p[0::2]
+    return p
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,8 @@ class WindowSynthConfig:
             raise ValueError("rho must be positive for a noisy run")
         if not self.noiseless and self.rho == math.inf:
             raise ValueError("rho must be finite for a noisy run")
+        if not self.noiseless and not math.isfinite(self.update_steps / self.rho):
+            raise ValueError(f"rho {self.rho!r} is too small for a finite noise scale")
         self.resolved_n_pad()  # refuses a beta_target too small for a finite padding
 
     @property
@@ -160,11 +167,11 @@ class WindowSynthesizer:
     """Engine for one run: noisy window histograms drive record extension.
 
     All noise and index selection comes from the generator passed at
-    construction, so a run is reproducible from its seed. Per-bin noise is
-    drawn in lexicographic bin order; rounding bits and the row-subset draws
-    (:class:`~panelsynth.model.RowGroups`, keyed by overlap code) follow in
-    overlap-group order. ``released`` holds the published counts p of every
-    round k..t.
+    construction, so a run is reproducible from its seed. A round draws 2**k
+    noise values in lexicographic bin order, then one rounding bit per overlap
+    group with an odd correction (ascending z, in one call), then the row-subset
+    draws (:class:`~panelsynth.model.RowGroups`, keyed by overlap code).
+    ``released`` holds the published counts p of every round k..t.
     """
 
     def __init__(self, cfg: WindowSynthConfig, rng=None):
@@ -186,12 +193,17 @@ class WindowSynthesizer:
         self._state: np.ndarray | None = None
 
     def _noisy_counts(self, true: np.ndarray, t: int) -> np.ndarray:
-        out = np.empty(true.shape, dtype=np.int64)
-        for code in range(true.size):
-            out[code] = int(true[code]) + self.n_pad + self._sampler.sample(self._bits)
+        noise = [self._sampler.sample(self._bits) for _ in range(true.size)]
         if not self.cfg.noiseless:
             self.accountant.charge(f"histogram@t={t}", self.cfg.per_step_rho())
-        return out
+        return true + self.n_pad + np.array(noise, dtype=np.int64)
+
+    def _refuse_negative(self, t: int, counts: np.ndarray) -> None:
+        """Raise PaddingExhaustedError for the first negative bin of round t's counts."""
+        negative = np.flatnonzero(counts < 0)
+        if negative.size:
+            code = int(negative[0])
+            raise PaddingExhaustedError(t, suffix_string(code, self.cfg.k), int(counts[code]))
 
     def init(self, dataset: LongitudinalDataset) -> np.ndarray:
         """Consume rounds 1..k and publish the first k synthetic columns.
@@ -205,10 +217,7 @@ class WindowSynthesizer:
         if dataset.t_max < k:
             raise ValueError(f"dataset must have at least k={k} ingested rounds")
         c_hat = self._noisy_counts(true_suffix_histogram(dataset, k, k).counts, k)
-        negative = np.nonzero(c_hat < 0)[0]
-        if negative.size:
-            code = int(negative[0])
-            raise PaddingExhaustedError(k, suffix_string(code, k), int(c_hat[code]))
+        self._refuse_negative(k, c_hat)
         m = int(c_hat.sum())
         if m < 1:
             raise PaddingExhaustedError(k, None, m)
@@ -244,22 +253,8 @@ class WindowSynthesizer:
         # groups are checked before any budget is charged or noise is drawn
         masses = self.released[-1][:half] + self.released[-1][half:]
         groups = RowGroups(self._state, masses, f"round {t}: overlap group")
-        c_hat = self._noisy_counts(true, t)
-        p_new = np.empty(1 << k, dtype=np.int64)
-        for z in range(half):
-            prev_mass = int(masses[z])
-            c0 = int(c_hat[2 * z])
-            c1 = int(c_hat[2 * z + 1])
-            bit = 0
-            if (prev_mass - c0 - c1) & 1:
-                bit = 1 if self._bits.getbits(1) else -1
-            p_z0, p_z1 = split_consistent(prev_mass, c0, c1, bit)
-            if p_z0 < 0:
-                raise PaddingExhaustedError(t, suffix_string(2 * z, k), p_z0)
-            if p_z1 < 0:
-                raise PaddingExhaustedError(t, suffix_string(2 * z + 1, k), p_z1)
-            p_new[2 * z] = p_z0
-            p_new[2 * z + 1] = p_z1
+        p_new = split_consistent(masses, self._noisy_counts(true, t), self._bits)
+        self._refuse_negative(t, p_new)
 
         column = groups.new_column(p_new[1::2], self._select)
         self._state <<= 1

@@ -345,3 +345,51 @@ def sign_symmetry_pvalue(samples: np.ndarray) -> float:
         stat += (pos - neg) ** 2 / (pos + neg)
         dof += 1
     return float(chi2.sf(stat, dof))
+
+
+def window_reference(bits, cfg, noise, rounding):
+    """Counts the window synthesizer releases, from the paper in plain Python ints.
+
+    ``bits`` is the n x T panel. ``noise`` holds the discrete Gaussian draws in
+    draw order (2**k per round, bins in lexicographic order) and ``rounding``
+    the rounding bits in read order, 1 meaning the z0 side takes the extra
+    half. Returns ``(released, exhausted)``: ``released[i]`` lists the 2**k
+    counts published for round k + i, and ``exhausted`` is None or the
+    (round, bin) of the first padding exhaustion, the bin None when the whole
+    population collapsed at round k.
+    """
+    noise, rounding = iter(noise), iter(rounding)
+    k = cfg.k
+    rows = [[int(v) for v in row] for row in bits]
+    n_pad = cfg.resolved_n_pad()
+    released: list[list[int]] = []
+    for t in range(k, min(cfg.T, len(rows[0])) + 1):
+        true = [0] * (1 << k)
+        for row in rows:
+            true[int("".join(str(v) for v in row[t - k:t]), 2)] += 1
+        c_hat = [c + n_pad + next(noise) for c in true]
+        if t == k:
+            for code, value in enumerate(c_hat):
+                if value < 0:
+                    return released, (t, format(code, f"0{k}b"))
+            if sum(c_hat) < 1:
+                return released, (t, None)
+            released.append(c_hat)
+            continue
+        # rows ending in overlap z at round t-1 (suffix 0z or 1z) end in z0
+        # or z1 at round t; both noisy counts move by half the mass deficit
+        prev, half = released[-1], 1 << (k - 1)
+        p = []
+        for z in range(half):
+            mass = prev[z] + prev[half + z]
+            c0, c1 = c_hat[2 * z], c_hat[2 * z + 1]
+            shift = Fraction(mass - c0 - c1, 2)
+            if shift.denominator != 1:
+                shift += Fraction(1, 2) if next(rounding) else Fraction(-1, 2)
+            p_z0 = c0 + int(shift)
+            for offset, value in enumerate((p_z0, mass - p_z0)):
+                if value < 0:
+                    return released, (t, format(2 * z + offset, f"0{k}b"))
+            p += [p_z0, mass - p_z0]
+        released.append(p)
+    return released, None

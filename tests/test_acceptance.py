@@ -306,3 +306,19 @@ def test_criterion_10_reproducibility(tmp_path):
         compared += 1
     _report(10, "byte-identical reruns", True,
             f"{compared} artifacts identical across window and cumulative reruns")
+
+
+def test_criterion_11_cumulative_error_bound(sipp_shaped_cumulative):
+    result = sipp_shaped_cumulative
+    T, beta = 12, 0.01 / 12
+    bound = CumulativeSynthConfig(T=T, rho=0.005).guarantee(result.n, beta)["error_bound"]
+    errors = np.array([o.max_error for o in result.outcomes if o.ok])
+    within = int((errors <= bound).sum())
+    allowed = 1 - T * beta - 2.576 * math.sqrt(T * beta * (1 - T * beta) / errors.size)
+    _report(
+        11,
+        "cumulative error bound",
+        within / errors.size >= allowed,
+        f"{within}/{errors.size} runs within bound {bound:.1f} ({allowed:.3%} needed), "
+        f"q99/bound {np.quantile(errors, 0.99) / bound:.3f}, max {errors.max()}",
+    )

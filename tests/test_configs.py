@@ -3,14 +3,17 @@
 The oracles in conftest are the free functions the config methods replaced,
 verbatim, the tree counters' noise formula among them. Every value must
 match with exact ``==``: bundles and ``bound`` print these floats with repr,
-so a reordered float expression would change their bytes.
+so a reordered float expression would change their bytes. The rounds each
+engine refuses to step close the file.
 """
 
 import contextlib
 import io
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from conftest import (
     compute_n_pad,
     compute_relative_error_bound,
     cumulative_split_weights,
+    random_dataset,
     split_cumulative,
     tree_noise_sigma2,
 )
@@ -153,3 +157,32 @@ def test_window_config_refuses_beta_target_too_small_for_a_finite_padding():
 def test_relative_error_bound_refuses_bad_arguments(n, c_frac, message):
     with pytest.raises(ValueError, match=message):
         WindowSynthConfig(T=12, k=3, rho=0.1).relative_error_bound(n, 0.05, c_frac)
+
+
+def _window_at_round_2(T, ds):
+    synth = WindowSynthesizer(WindowSynthConfig(T=T, k=2, noiseless=True), 0)
+    synth.init(ds)
+    return synth
+
+
+def _cumulative_at_round_2(T, ds):
+    synth = CumulativeSynthesizer(ds.n, CumulativeSynthConfig(T=T, noiseless=True), 0)
+    synth.step(ds, 1)
+    synth.step(ds, 2)
+    return synth
+
+
+@pytest.mark.parametrize("at_round_2", [_window_at_round_2, _cumulative_at_round_2],
+                         ids=["window", "cumulative"])
+@pytest.mark.parametrize("T, t_max, t, message", [
+    (6, 6, 4, "out-of-order round: expected 3, got 4"),
+    (2, 6, 3, "round 3 is beyond the horizon T=2"),
+    (6, 2, 3, "round 3 not ingested (t_max=2)"),
+], ids=["out-of-order", "beyond-horizon", "not-ingested"])
+def test_step_refuses_a_round(at_round_2, T, t_max, t, message):
+    ds = random_dataset(np.random.default_rng(8), 30, t_max, p=0.5)
+    synth = at_round_2(T, ds)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        synth.step(ds, t)
+    assert synth.t == 2 and synth.store.t_max == 2
+

@@ -118,6 +118,14 @@ class TestBitSource:
         b = BitSource(np.random.default_rng(33))
         assert [a.getbits(7) for _ in range(100)] == [b.getbits(7) for _ in range(100)]
 
+    def test_one_read_of_n_bits_is_n_reads_of_one_bit(self):
+        # the window round reads all of its rounding bits in one call
+        whole = BitSource(np.random.default_rng(77))
+        single = BitSource(np.random.default_rng(77))
+        for n in range(1001):
+            assert whole.getbits(n) == sum(single.getbits(1) << i for i in range(n))
+            assert whole.getbits(64) == single.getbits(64)
+
     def test_randbelow_range_and_rough_uniformity(self):
         bits = BitSource(np.random.default_rng(0))
         draws = np.array([bits.randbelow(5) for _ in range(20_000)])

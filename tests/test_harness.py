@@ -559,7 +559,9 @@ class TestCli:
         (["synth-window", "--k", "2", "--rho", "0"], "rho must be positive for a noisy run"),
         (["synth-window", "--k", "13", "--rho", "0.1"], "need 1 <= k <= T, got k=13, T=12"),
         (["synth-cumulative", "--rho", "-1"], "rho must be positive for a noisy run"),
-    ], ids=["window-rho-0", "k-past-T", "cumulative-rho-negative"])
+        (["synth-window", "--k", "3", "--rho", "1e-320", "--n-pad", "5"],
+         "rho 1e-320 is too small for a finite noise scale"),
+    ], ids=["window-rho-0", "k-past-T", "cumulative-rho-negative", "window-rho-tiny"])
     def test_refused_config_exit_code(self, tmp_path, capsys, argv, message):
         rc = main([*argv, "--sim-kind", "bernoulli", "--n", "10", "--T", "12",
                    "--out", str(tmp_path / "run")])
@@ -578,7 +580,10 @@ class TestCli:
         (["--n", "100", "--c-frac", "2"], "c_frac must lie in [0, 1]"),
         (["--rho", "nan"], "rho must be positive for a noisy run"),
         (["--rho", "inf"], "rho must be finite for a noisy run"),
-    ], ids=["beta-past-1", "cumulative-n-negative", "c-frac-past-1", "rho-nan", "rho-inf"])
+        # (T - k + 1) / rho overflows, so neither padding nor noise scale is finite
+        (["--rho", "1e-320"], "rho 1e-320 is too small for a finite noise scale"),
+    ], ids=["beta-past-1", "cumulative-n-negative", "c-frac-past-1", "rho-nan", "rho-inf",
+            "rho-tiny"])
     def test_out_of_range_bound_exit_code(self, capsys, argv, message):
         rc = main(["bound", "--T", "12", "--k", "3", "--rho", "0.005", *argv])
         assert rc == 2

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dataset
+from conftest import random_dataset, window_reference
+from panelsynth.dp import BitSource, DiscreteGaussianSampler
 from panelsynth.model import LongitudinalDataset, true_suffix_histogram
 from panelsynth.window import (
     PaddingExhaustedError,
@@ -75,32 +76,43 @@ class TestErrorBounds:
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
+class _FixedBits:
+    """A bit source serving the given bits, LSB first."""
+
+    def __init__(self, *bits):
+        self.bits = list(bits)
+
+    def getbits(self, n):
+        served, self.bits = self.bits[:n], self.bits[n:]
+        return sum(bit << i for i, bit in enumerate(served))
+
+
 class TestSplitConsistent:
     def test_worked_half_integer_example(self):
         # previous counts {00:3, 01:2, 10:4, 11:1}; z=0 mass is 3+4=7,
         # noisy counts 4 and 2 sum to 6, so the correction is 1/2
-        p0, p1 = split_consistent(7, 4, 2, rounding_bit=1)
-        assert (p0, p1) == (5, 2)
-        p0, p1 = split_consistent(7, 4, 2, rounding_bit=-1)
-        assert (p0, p1) == (4, 3)
+        bits = _FixedBits(1, 0)
+        assert split_consistent(np.array([7]), np.array([4, 2]), bits).tolist() == [5, 2]
+        assert split_consistent(np.array([7]), np.array([4, 2]), bits).tolist() == [4, 3]
 
     def test_integer_case_ignores_bit(self):
-        assert split_consistent(8, 4, 2) == (5, 3)
+        bits = _FixedBits(1)
+        assert split_consistent(np.array([8]), np.array([4, 2]), bits).tolist() == [5, 3]
+        assert bits.bits == [1]  # no bit read
 
-    def test_half_integer_requires_bit(self):
-        with pytest.raises(ValueError):
-            split_consistent(7, 4, 2)
-
-    @given(st.integers(0, 10_000), st.integers(-500, 500), st.integers(-500, 500),
-           st.sampled_from([-1, 1]))
-    def test_mass_preserved_and_integral(self, prev, c0, c1, bit):
-        p0, p1 = split_consistent(prev, c0, c1, bit)
-        assert p0 + p1 == prev
-        assert isinstance(p0, int) and isinstance(p1, int)
+    @given(st.lists(st.tuples(st.integers(0, 10_000), st.integers(-500, 500),
+                              st.integers(-500, 500)), min_size=1, max_size=16),
+           st.integers(0, 2**32 - 1))
+    def test_mass_preserved_and_integral(self, groups, seed):
+        masses = np.array([prev for prev, _, _ in groups])
+        c_hat = np.array([c for _, c0, c1 in groups for c in (c0, c1)])
+        p = split_consistent(masses, c_hat, BitSource(np.random.default_rng(seed)))
+        assert (p[0::2] + p[1::2] == masses).all()
+        assert p.dtype == np.int64
         # the two sides never differ from their noisy targets by more than 1/2 + |delta|
-        d2 = prev - c0 - c1
-        assert abs(2 * (p0 - c0) - d2) <= 1
-        assert abs(2 * (p1 - c1) - d2) <= 1
+        d2 = masses - c_hat[0::2] - c_hat[1::2]
+        assert (abs(2 * (p[0::2] - c_hat[0::2]) - d2) <= 1).all()
+        assert (abs(2 * (p[1::2] - c_hat[1::2]) - d2) <= 1).all()
 
 
 class TestConfig:
@@ -231,15 +243,6 @@ class TestNoisyRunInvariants:
         _, _, b = self._noisy_run(123)
         assert (a.matrix() == b.matrix()).all()
 
-    def test_out_of_order_step_rejected(self):
-        rng = np.random.default_rng(8)
-        ds = random_dataset(rng, 30, 6, p=0.5)
-        cfg = WindowSynthConfig(T=6, k=2, noiseless=True)
-        synth = WindowSynthesizer(cfg, rng)
-        synth.init(ds)
-        with pytest.raises(ValueError, match="out-of-order"):
-            synth.step(ds, 4)
-
     def test_metadata_is_complete(self):
         _, synth, _ = self._noisy_run(2)
         meta = synth.metadata()
@@ -299,6 +302,62 @@ class TestPaddingExhaustion:
             synth.run(ds)
         if synth.store is not None:
             assert synth.store.t_max < info.value.t
+
+
+def _tapped_run(cfg, ds, seed):
+    """Run the engine, recording its noise draws and the bits read outside a draw."""
+    noise, rounding, depth = [], [], [0]
+    sample, getbits = DiscreteGaussianSampler.sample, BitSource.getbits
+
+    def tapped_sample(self, bits):
+        depth[0] += 1
+        try:
+            value = sample(self, bits)
+        finally:
+            depth[0] -= 1
+        noise.append(value)
+        return value
+
+    def tapped_getbits(self, k):
+        value = getbits(self, k)
+        if not depth[0]:
+            rounding.extend((value >> i) & 1 for i in range(k))  # served LSB first
+        return value
+
+    synth = WindowSynthesizer(cfg, np.random.default_rng(seed))
+    exhausted = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DiscreteGaussianSampler, "sample", tapped_sample)
+        patch.setattr(BitSource, "getbits", tapped_getbits)
+        try:
+            synth.run(ds)
+        except PaddingExhaustedError as exc:
+            exhausted = (exc.t, exc.suffix)
+    return synth, noise, rounding, exhausted
+
+
+class TestWindowReference:
+    # a large rho keeps the noise within a few units, so odd corrections and,
+    # with little padding, exhausted bins are both common
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_released_matches_reference(self, data):
+        T = data.draw(st.integers(1, 10), label="T")
+        k = data.draw(st.integers(1, min(4, T)), label="k")
+        panel = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=T, max_size=T),
+                                   min_size=1, max_size=12), label="panel")
+        cfg = WindowSynthConfig(T=T, k=k, rho=data.draw(st.sampled_from([0.5, 4.0, 50.0])),
+                                n_pad=data.draw(st.integers(0, 2), label="n_pad"))
+        ds = LongitudinalDataset.from_matrix(np.array(panel, dtype=np.uint8))
+        synth, noise, rounding, exhausted = _tapped_run(
+            cfg, ds, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        noise, rounding = iter(noise), iter(rounding)
+        released, ref_exhausted = window_reference(panel, cfg, noise, rounding)
+        assert exhausted == ref_exhausted
+        assert [p.tolist() for p in synth.released] == released
+        assert next(noise, None) is None  # every round draws all 2**k values first
+        if exhausted is None:
+            assert next(rounding, None) is None
 
 
 class TestBoundMonteCarloSmall:
