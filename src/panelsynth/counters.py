@@ -18,8 +18,11 @@ class TreeCounter:
     On round t, the lowest set bit of t names the register that absorbs all
     lower registers plus the new value; that register alone is re-noised with
     variance sigma2 (0 gives an exact counter), and the released prefix sum
-    adds the noisy registers picked out by t's binary expansion. Register
-    folds are exact integer arithmetic, so all outputs are integers.
+    adds the noisy registers picked out by t's binary expansion. Those are
+    the only nonzero registers, so the release sums them all: register j is
+    written on a round whose lowest set bit is j, and only lower registers
+    change until the round that clears bit j, whose fold zeroes register j.
+    Register folds are exact integer arithmetic, so all outputs are integers.
     """
 
     def __init__(self, horizon: int, sigma2: Fraction, rng=None):
@@ -53,16 +56,8 @@ class TreeCounter:
             self.alpha_noisy[j] = 0
         self.alpha[i] = acc
         self.alpha_noisy[i] = acc + self._sampler.sample(self._bits)
-        total = 0
-        rem = t
-        j = 0
-        while rem:
-            if rem & 1:
-                total += self.alpha_noisy[j]
-            rem >>= 1
-            j += 1
         self.t = t
-        return total
+        return sum(self.alpha_noisy)
 
 
 class MonotoneBank:

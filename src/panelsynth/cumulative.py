@@ -15,7 +15,7 @@ import numpy as np
 
 from .counters import MonotoneBank, TreeCounter
 from .dp import ZCDPAccountant, ceil_log2
-from .model import LongitudinalDataset, RowGroups, SyntheticStore
+from .model import LongitudinalDataset, RowGroups, SyntheticStore, check_next_round
 
 __all__ = ["CumulativeSynthConfig", "CumulativeSynthesizer"]
 
@@ -107,9 +107,7 @@ class CumulativeSynthesizer:
         self.cfg = cfg
         self.n = int(n)
         self.store = SyntheticStore(self.n)  # refuses n < 1
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        streams = rng.spawn(cfg.T + 1)
+        streams = np.random.default_rng(rng).spawn(cfg.T + 1)
         self.counters = {
             b: TreeCounter(cfg.T - b + 1, sigma2, streams[b - 1])
             for b, sigma2 in enumerate(cfg.counter_sigma2(), start=1)
@@ -129,13 +127,7 @@ class CumulativeSynthesizer:
 
     def step(self, dataset: LongitudinalDataset, t: int) -> np.ndarray:
         """Publish the synthetic column for round t = current round + 1."""
-        cfg = self.cfg
-        if t != self.t + 1:
-            raise ValueError(f"out-of-order round: expected {self.t + 1}, got {t}")
-        if t > cfg.T:
-            raise ValueError(f"round {t} is beyond the horizon T={cfg.T}")
-        if t > dataset.t_max:
-            raise ValueError(f"round {t} not ingested (t_max={dataset.t_max})")
+        check_next_round(self.t, t, self.cfg.T, dataset)
         if dataset.n != self.n:
             raise ValueError("dataset population differs from synthesizer population")
 
@@ -168,6 +160,11 @@ class CumulativeSynthesizer:
         for t in range(1, min(self.cfg.T, dataset.t_max) + 1):
             self.step(dataset, t)
         return self.store
+
+    def max_error(self, dataset: LongitudinalDataset) -> int:
+        """Worst |hat_S[b, t] - S_t[b]| over every threshold of every released round 1..t."""
+        return max(int(np.abs(self.bank.hat[: t + 1, t] - dataset.cumulative_counts(t)).max())
+                   for t in range(1, self.t + 1))
 
     def metadata(self) -> dict:
         return {**self.cfg.public(), "n": self.n, "rho_spent": self.accountant.total}

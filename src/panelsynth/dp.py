@@ -161,16 +161,6 @@ class BitSource:
             return -mag if sign else mag
 
 
-def _floor_sqrt_ratio(num: int, den: int) -> int:
-    """floor(sqrt(num/den)) in exact integer arithmetic."""
-    a = math.isqrt(num // den)
-    while (a + 1) * (a + 1) * den <= num:
-        a += 1
-    while a * a * den > num:
-        a -= 1
-    return a
-
-
 class DiscreteGaussianSampler:
     """Exact sampler for the integer Gaussian with fixed variance parameter.
 
@@ -190,7 +180,8 @@ class DiscreteGaussianSampler:
         self._num = sigma2.numerator
         self._den = sigma2.denominator
         if self._num:
-            self._t = _floor_sqrt_ratio(self._num, self._den) + 1
+            # isqrt(floor(x)) is floor(sqrt(x)) for a rational x >= 0
+            self._t = math.isqrt(self._num // self._den) + 1
             self._gden = 2 * self._num * self._den * self._t * self._t
 
     def sample(self, bits: BitSource) -> int:

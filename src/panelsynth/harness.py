@@ -30,9 +30,10 @@ import numpy as np
 
 from . import __version__
 from .cumulative import CumulativeSynthConfig
-from .model import LongitudinalDataset, true_cumulative_counts, true_suffix_histogram
+# true_cumulative_counts is unused here: perfbench/tracer.py patches the name in this module
+from .model import LongitudinalDataset, true_cumulative_counts
 from .queries import QuerySpec, debiased_answer, eval_query, is_supported
-from .window import PaddingExhaustedError, WindowSynthConfig, WindowSynthesizer
+from .window import PaddingExhaustedError, WindowSynthConfig
 
 __all__ = [
     "ExperimentResult",
@@ -170,7 +171,7 @@ def simulate_dataset(kind: str, n: int, T: int, rng=None, *, p: float = 0.5,
     """
     if n < 1 or T < 1:
         raise InputError("n and T must be at least 1")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     if kind == "all_ones":
         bits = np.ones((n, T), dtype=np.uint8)
     elif kind == "from_seed":
@@ -299,27 +300,6 @@ def _materialize_dataset(manifest: RunManifest, data_seed: np.random.SeedSequenc
     return dataset, dropped, source
 
 
-def _max_error(dataset, synth) -> int:
-    """Worst |released count - true count| over every round and bin of a run.
-
-    Scored from the counts each engine released, which its rows realize
-    exactly: the window engine's per-round histograms against truth plus
-    n_pad, and the cumulative bank against the true threshold counts.
-    """
-    if isinstance(synth, WindowSynthesizer):
-        k = synth.cfg.k
-        pairs = (
-            (p, true_suffix_histogram(dataset, k, t).counts + synth.n_pad)
-            for t, p in enumerate(synth.released, start=k)
-        )
-    else:
-        pairs = (
-            (synth.bank.hat[: t + 1, t], true_cumulative_counts(dataset, t))
-            for t in range(1, synth.t + 1)
-        )
-    return max(int(np.abs(released - true).max()) for released, true in pairs)
-
-
 def _run_one_rep(manifest: RunManifest, dataset, queries, public: dict, rep: int,
                  seed: np.random.SeedSequence) -> RepOutcome:
     synth = manifest.synth.synthesizer(dataset.n, np.random.default_rng(seed))
@@ -333,7 +313,7 @@ def _run_one_rep(manifest: RunManifest, dataset, queries, public: dict, rep: int
     if rep < manifest.save_synth:
         path = Path(manifest.out_dir) / f"synth_rep{rep}.csv"
         np.savetxt(path, store.matrix(), fmt="%d", delimiter=",")
-    return RepOutcome(rep, True, answers, _max_error(dataset, synth), m=store.n)
+    return RepOutcome(rep, True, answers, synth.max_error(dataset), m=store.n)
 
 
 _POOL_STATE: dict = {}
@@ -348,18 +328,11 @@ def _pool_run(task):
     return _run_one_rep(*_POOL_STATE["args"], rep, seed)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle)  # writes a float as its repr
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def run_experiment(manifest: RunManifest) -> ExperimentResult:

@@ -17,6 +17,7 @@ __all__ = [
     "RowGroups",
     "SuffixHistogram",
     "SyntheticStore",
+    "check_next_round",
     "mark_random_subset",
     "suffix_index",
     "suffix_string",
@@ -211,6 +212,17 @@ class LongitudinalDataset:
 
 
 SyntheticStore = LongitudinalDataset
+
+
+def check_next_round(current: int, t: int, T: int, dataset: LongitudinalDataset) -> None:
+    """ValueError unless round t follows round ``current``, lies within T and is ingested."""
+    if t != current + 1:
+        raise ValueError(f"out-of-order round: expected {current + 1}, got {t}")
+    if t > T:
+        raise ValueError(f"round {t} is beyond the horizon T={T}")
+    if t > dataset.t_max:
+        raise ValueError(f"round {t} not ingested (t_max={dataset.t_max})")
+
 
 # Pools up to numpy's own ``Generator.choice`` cutoff keep the whole-pool
 # permutation: below it ``choice`` runs a hash-set Floyd's algorithm that is

@@ -22,6 +22,7 @@ from .model import (
     RowGroups,
     SuffixHistogram,
     SyntheticStore,
+    check_next_round,
     suffix_string,
     true_suffix_histogram,
 )
@@ -176,9 +177,7 @@ class WindowSynthesizer:
 
     def __init__(self, cfg: WindowSynthConfig, rng=None):
         self.cfg = cfg
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        noise_rng, select_rng = rng.spawn(2)
+        noise_rng, select_rng = np.random.default_rng(rng).spawn(2)
         self._bits = BitSource(noise_rng)
         self._select = select_rng
         self.n_pad = cfg.resolved_n_pad()
@@ -238,12 +237,7 @@ class WindowSynthesizer:
         k = cfg.k
         if self.t == 0:
             raise RuntimeError("call init() before step()")
-        if t != self.t + 1:
-            raise ValueError(f"out-of-order round: expected {self.t + 1}, got {t}")
-        if t > cfg.T:
-            raise ValueError(f"round {t} is beyond the horizon T={cfg.T}")
-        if t > dataset.t_max:
-            raise ValueError(f"round {t} not ingested (t_max={dataset.t_max})")
+        check_next_round(self.t, t, cfg.T, dataset)
 
         # the true histogram is built first, so its int64 temporaries are
         # freed before the grouping's row order is allocated
@@ -277,6 +271,12 @@ class WindowSynthesizer:
         if not self.released:
             raise RuntimeError("synthesizer has not published any round yet")
         return SuffixHistogram(self.cfg.k, self.released[-1].copy())
+
+    def max_error(self, dataset: LongitudinalDataset) -> int:
+        """Worst |p - (C + n_pad)| over every bin of every released round k..t."""
+        k = self.cfg.k
+        return max(int(np.abs(p - (true_suffix_histogram(dataset, k, t).counts + self.n_pad)).max())
+                   for t, p in enumerate(self.released, start=k))
 
     def metadata(self) -> dict:
         """Public release parameters. n_pad is published so analysts can debias."""

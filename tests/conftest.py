@@ -393,3 +393,50 @@ def window_reference(bits, cfg, noise, rounding):
             p += [p_z0, mass - p_z0]
         released.append(p)
     return released, None
+
+
+def cumulative_reference(bits, cfg, register_noise):
+    """s-tilde and hat-S the cumulative synthesizer releases, from the paper in plain Python ints.
+
+    ``bits`` is the n x T panel and ``register_noise`` the discrete Gaussian
+    draws in draw order: rounds t ascending, and within a round thresholds
+    b = 1..t ascending, one draw per counter feed. Counter b watches the
+    arrivals S_t[b] - S_{t-1}[b] at local time tau = t - b + 1: it folds the
+    registers below tau's lowest set bit and the arrival into that bit's
+    register, re-noises that register alone, and releases the noisy
+    registers picked out by tau's set bits. Each release is clamped into
+    [hat[b][t-1], hat[b-1][t-1]]. Returns ``(s_tilde, hat)``, both
+    (T+1) x (T+1) lists indexed [b][t], holding every round's column.
+    """
+    noise = iter(register_noise)
+    rows = [[int(v) for v in row] for row in bits]
+    T = cfg.T
+    s_tilde = [[0] * (T + 1) for _ in range(T + 1)]
+    hat = [[0] * (T + 1) for _ in range(T + 1)]
+    hat[0] = [len(rows)] * (T + 1)
+    exact = {b: [0] * (T + 1) for b in range(1, T + 1)}
+    noisy = {b: [0] * (T + 1) for b in range(1, T + 1)}
+    previous = [len(rows)]  # S_0: only threshold 0 is reached
+    for t in range(1, min(T, len(rows[0])) + 1):
+        weights = [sum(row[:t]) for row in rows]
+        S = [sum(1 for w in weights if w >= b) for b in range(t + 1)]
+        for b in range(1, t + 1):
+            arrival = S[b] - (previous[b] if b < len(previous) else 0)
+            tau = t - b + 1
+            low = 0
+            while not (tau >> low) & 1:
+                low += 1
+            folded = arrival
+            for j in range(low):
+                folded += exact[b][j]
+                exact[b][j] = noisy[b][j] = 0
+            exact[b][low] = folded
+            noisy[b][low] = folded + next(noise)
+            release = 0
+            for j in range(tau.bit_length()):
+                if (tau >> j) & 1:
+                    release += noisy[b][j]
+            s_tilde[b][t] = release
+            hat[b][t] = min(max(release, hat[b][t - 1]), hat[b - 1][t - 1])
+        previous = S
+    return s_tilde, hat

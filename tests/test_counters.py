@@ -225,3 +225,38 @@ class TestMonotoneBank:
                 outcomes = [_outcome(lambda: call(bank)) for bank in banks]
                 assert outcomes[0] == outcomes[1], op
         assert np.array_equal(banks[0].hat, banks[1].hat)
+
+
+class TestTreeCounterRegisterSupport:
+    # the release is the sum of all noisy registers because of this invariant
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_registers_off_the_bits_of_t_hold_zero(self, data):
+        horizon = data.draw(st.integers(1, 130), label="horizon")
+        stream = data.draw(st.lists(st.integers(0, 50), min_size=horizon, max_size=horizon),
+                           label="stream")
+        sigma2 = data.draw(st.sampled_from([Fraction(1, 3), Fraction(4), Fraction(250)]))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        counter = TreeCounter(horizon, sigma2, np.random.default_rng(seed))
+        for z in stream:
+            counter.feed(z)
+            clear = [j for j in range(counter.registers) if not (counter.t >> j) & 1]
+            assert [counter.alpha[j] for j in clear] == [0] * len(clear)
+            assert [counter.alpha_noisy[j] for j in clear] == [0] * len(clear)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CumulativeSynthConfig(T=0), "horizon must be at least 1"),
+    (lambda: TreeCounter(0, 0), "horizon must be at least 1"),
+    (lambda: MonotoneBank(0, 1), "horizon must be at least 1"),
+    (lambda: MonotoneBank(3, -1), "population size must be non-negative"),
+], ids=["config-T-0", "counter-horizon-0", "bank-T-0", "bank-negative-population"])
+def test_cumulative_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_noiseless_config_has_no_budget_and_no_error():
+    cfg = CumulativeSynthConfig(T=5, noiseless=True)
+    assert cfg.resolved_schedule() == (0.0,) * 5
+    assert cfg.guarantee(100, 0.05) == {"error_bound": 0.0, "alpha_star": 0.0}

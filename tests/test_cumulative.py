@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_dataset
+from conftest import cumulative_reference, random_dataset
 from panelsynth.cli import main
 from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
+from panelsynth.dp import DiscreteGaussianSampler
 from panelsynth.model import LongitudinalDataset, true_cumulative_counts
 
 
@@ -192,3 +195,41 @@ class TestReleaseInvariant:
         with pytest.raises(RuntimeError, match="not been set"):
             synth.bank.value(1, 2)
 
+
+
+def _tapped_run(cfg, ds, seed):
+    """Run the engine, recording its noise draws in draw order."""
+    noise = []
+    sample = DiscreteGaussianSampler.sample
+
+    def tapped_sample(self, bits):
+        value = sample(self, bits)
+        noise.append(value)
+        return value
+
+    synth = CumulativeSynthesizer(ds.n, cfg, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DiscreteGaussianSampler, "sample", tapped_sample)
+        synth.run(ds)
+    return synth, noise
+
+
+class TestCumulativeReference:
+    # a large rho keeps the noise within a few units of the arrivals, so the
+    # bank clamps from both sides
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_counts_match_reference(self, data):
+        T = data.draw(st.integers(1, 10), label="T")
+        width = data.draw(st.integers(1, 10), label="width")
+        panel = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=width, max_size=width),
+                                   min_size=1, max_size=12), label="panel")
+        cfg = CumulativeSynthConfig(T=T, rho=data.draw(st.sampled_from([0.5, 4.0, 50.0])))
+        ds = LongitudinalDataset.from_matrix(np.array(panel, dtype=np.uint8))
+        synth, noise = _tapped_run(cfg, ds, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        noise = iter(noise)
+        s_tilde, hat = cumulative_reference(panel, cfg, noise)
+        # both matrices hold every round's column, [b][t]
+        assert synth.s_tilde.tolist() == s_tilde
+        assert synth.bank.hat.tolist() == hat
+        assert next(noise, None) is None  # every tapped draw was consumed

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gof_pvalue, sign_symmetry_pvalue
@@ -193,3 +193,28 @@ class TestSamplerSymmetryFull:
     def test_million_sample_symmetry(self, dg_samples):
         xs = dg_samples(4)
         assert sign_symmetry_pvalue(xs) > 0.001
+
+
+@st.composite
+def _ratios(draw):
+    """(num, den) with num >= 1 and den >= 1, often a square times den or one off it."""
+    den = draw(st.integers(1, 2**64), label="den")
+    if draw(st.booleans()):
+        a = draw(st.integers(0, 2**64), label="a")
+        num = a * a * den + draw(st.sampled_from([-1, 0, 1]), label="offset")
+        return max(num, 1), den
+    return draw(st.integers(1, 2**130), label="num"), den
+
+
+class TestEnvelopeScale:
+    @settings(max_examples=500, deadline=None)
+    @given(_ratios())
+    @example((2 * 2 * 3 - 1, 3))
+    @example((2 * 2 * 3, 3))
+    @example((2 * 2 * 3 + 1, 3))
+    @example((1, 2**64))
+    def test_isqrt_of_the_floor_is_the_floor_of_the_root(self, ratio):
+        num, den = ratio
+        a = math.isqrt(num // den)
+        assert a * a * den <= num < (a + 1) * (a + 1) * den
+        assert DiscreteGaussianSampler(Fraction(num, den))._t == a + 1

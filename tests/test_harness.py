@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -18,7 +19,6 @@ from panelsynth.harness import (
     _CHUNK_RECORDS,
     InputError,
     RunManifest,
-    _max_error,
     ingest_csv,
     run_experiment,
     simulate_dataset,
@@ -380,7 +380,7 @@ class TestMaxError:
             for t in range(2, 7)
         )
         assert worst > 0
-        assert _max_error(ds, synth) == worst
+        assert synth.max_error(ds) == worst
 
     def test_cumulative_matches_store_scan(self):
         rng = np.random.default_rng(6)
@@ -392,7 +392,7 @@ class TestMaxError:
             for t in range(1, 7)
         )
         assert worst > 0
-        assert _max_error(ds, synth) == worst
+        assert synth.max_error(ds) == worst
 
     @pytest.mark.parametrize("mode", ["window", "cumulative"])
     def test_noiseless_run_has_zero_error(self, mode):
@@ -403,7 +403,7 @@ class TestMaxError:
         else:
             synth = CumulativeSynthesizer(30, CumulativeSynthConfig(T=6, noiseless=True), rng)
         synth.run(ds)
-        assert _max_error(ds, synth) == 0
+        assert synth.max_error(ds) == 0
 
 
 AGREEMENT_CONFIGS = [
@@ -650,3 +650,62 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"error: --queries is neither a file nor a valid query list: {detail}\n"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: simulate_dataset("bernoulli", 0, 3), "n and T must be at least 1"),
+    (lambda tmp: simulate_dataset("bernoulli", 3, 0), "n and T must be at least 1"),
+    (lambda tmp: simulate_dataset("bernoulli", 3, 2, p=1.5), "p must lie in [0, 1]"),
+    (lambda tmp: simulate_dataset("markov", 3, 2, stay=-0.1), "stay must lie in [0, 1]"),
+    (lambda tmp: _window_manifest(tmp, data_path="d.csv").validate(),
+     "specify exactly one data source (a CSV path or a simulation kind)"),
+    (lambda tmp: _window_manifest(tmp, sim_kind=None).validate(),
+     "specify exactly one data source (a CSV path or a simulation kind)"),
+    (lambda tmp: _window_manifest(tmp, n=None).validate(),
+     "simulated data needs a population size n"),
+    (lambda tmp: _window_manifest(tmp, reps=0).validate(), "reps must be at least 1"),
+    (lambda tmp: _window_manifest(tmp, workers=0).validate(), "workers must be at least 1"),
+    (lambda tmp: run_experiment(_window_manifest(tmp, queries=[QuerySpec.window("1", 7)])),
+     "query window:1 at t=7 is beyond the horizon T=6"),
+], ids=["n-0", "T-0", "p-outside", "markov-outside", "two-sources", "no-source",
+        "simulation-without-n", "reps-0", "workers-0", "query-past-the-horizon"])
+def test_harness_refusals(tmp_path, call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+
+
+def test_from_seed_simulation_is_uniform_bits_fixed_by_the_seed():
+    a = simulate_dataset("from_seed", 400, 5, np.random.default_rng(3)).matrix()
+    b = simulate_dataset("from_seed", 400, 5, np.random.default_rng(3)).matrix()
+    assert a.shape == (400, 5)
+    assert (a == b).all()
+    assert set(np.unique(a).tolist()) == {0, 1}
+    assert 0.4 < a.mean() < 0.6
+
+
+class TestCliBranches:
+    def test_eval_refuses_an_empty_query_list(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("0,1\n1,1\n")
+        assert main(["eval", "--data", str(data), "--queries", "[]"]) == 2
+        assert capsys.readouterr().err == "error: eval needs a non-empty --queries list\n"
+
+    def test_eval_writes_its_table_to_out_and_reports_dropped_rows(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("0,1\n1,\n1,1\n")
+        out = tmp_path / "answers.csv"
+        rc = main(["eval", "--data", str(data), "--queries", '{"kind":"cum","b":1,"t":2}',
+                   "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr() == ("", "dropped 1 rows with missing values\n")
+        assert out.read_text() == "query,t,value\ncum:1,2,1.0\n"
+
+    def test_synth_window_simulates_a_markov_panel(self, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["synth-window", "--sim-kind", "markov", "--n", "40", "--T", "4", "--k", "2",
+                   "--p0", "0.3", "--stay", "0.8", "--enter", "0.1", "--noiseless",
+                   "--seed", "2", "--out", str(out)])
+        assert rc == 0
+        data = json.loads((out / "metadata.json").read_text())["data"]
+        assert data["source"] == "simulate:markov"
+        assert data["sim_params"] == {"p0": 0.3, "stay": 0.8, "enter": 0.1}

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from panelsynth.dp import BitSource, ceil_log2, zcdp_to_approx_dp
 from panelsynth.model import (
     LongitudinalDataset,
     SuffixHistogram,
@@ -370,3 +372,19 @@ class TestMarkRandomSubset:
         df = size - 1
         assert abs(float((z**2).sum()) - df) < 6 * math.sqrt(2 * df)
         assert float(np.abs(z).max()) < 5.5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: zcdp_to_approx_dp(-1, 0.1), "rho must be non-negative"),
+    (lambda: ceil_log2(0), "x must be positive"),
+    (lambda: BitSource(np.random.default_rng(0)).randbelow(0), "n must be positive"),
+    (lambda: LongitudinalDataset(0), "population size must be at least 1"),
+    (lambda: LongitudinalDataset.from_matrix([0, 1, 1]),
+     "expected a 2-d array of bits (individuals x rounds)"),
+    (lambda: LongitudinalDataset.from_matrix([[0, 1], [1, 1]]).suffix_histogram(0, 2),
+     "window length k must be at least 1"),
+], ids=["negative-rho", "ceil-log2-of-0", "randbelow-0", "empty-population", "1-d-matrix",
+        "window-length-0"])
+def test_dp_and_panel_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

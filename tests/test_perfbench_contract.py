@@ -4,7 +4,8 @@
 and methods by name, and its outside checks read engine and panel
 attributes. A rename inside ``src/`` that the benchmark does not follow
 breaks the traced benchmark, so these tests load the benchmark's own
-modules unchanged and run one small traced release through them.
+modules unchanged and run one small traced release and one traced sweep
+pair through them.
 """
 
 import importlib.util
@@ -55,4 +56,18 @@ def test_traced_release_pass_is_clean():
     names = {span[1] for span in tracer.spans}
     assert {"window.init", "window.step", "cumulative.step", "model.from_matrix",
             "model.append", "model.true_hist", "counters.feed"} <= names
+    assert not any(span[7] for span in tracer.spans)
+
+
+def test_traced_sweep_pair_is_clean(tmp_path):
+    # the CLI path of a sweep: main -> run_experiment -> one run per repetition
+    sweep = workloads.Sweep(1, tmp_path)
+    tracer = tracer_mod.Tracer()
+    with tracer.installed():
+        res = sweep.fixed(tracer)
+    assert (res.attempted, res.failed, res.padding_exhausted) == (40, 0, 0)
+    assert res.problems == []
+    names = {span[1] for span in tracer.spans}
+    assert {"cli.main", "harness.run_experiment", "harness.ingest_csv", "window.run",
+            "cumulative.run", "queries.debiased_answer"} <= names
     assert not any(span[7] for span in tracer.spans)

@@ -25,6 +25,8 @@ REMOVED = [
     ("dp", "split_cumulative"),
     ("dp", "cumulative_split_weights"),
     ("counters", "tree_noise_sigma2"),
+    ("harness", "_max_error"),
+    ("dp", "_floor_sqrt_ratio"),
 ]
 REMOVED_ATTRIBUTES = [
     ("model", "SuffixHistogram", "as_dict"),

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,3 +286,22 @@ class TestOneEvaluator:
             assert debiased_answer(store, q, 0, data.n, force=True) == value
             assert debiased_answer(store, q, 0, data.n, k=1, force=True) == value
             assert eval_query(store, q, force=True) == value
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: QuerySpec.window("1", 0), "query round t must be at least 1"),
+    (lambda: QuerySpec.cumulative(-1, 3), "cumulative query needs a threshold b >= 0"),
+    (lambda: QuerySpec(kind="linear", t=3, weights=()), "linear query needs non-empty weights"),
+    (lambda: QuerySpec.linear({"10": math.inf}, 3), "linear query weights must be finite"),
+    (lambda: QuerySpec.linear({"101": 1}, 2), "linear query undefined before its window length"),
+    (lambda: QuerySpec(kind="median", t=3), "unknown query kind 'median'"),
+    (lambda: parse_queries("3"), "a query list must be a JSON list or object"),
+    (lambda: parse_queries('[{"kind": "window", "s": "1"}]'),
+     "query entry missing 't': {'kind': 'window', 's': '1'}"),
+    (lambda: parse_queries('[{"kind": "median", "t": 3}]'), "unknown query kind 'median'"),
+], ids=["round-0", "negative-threshold", "empty-weights", "infinite-weight",
+        "linear-before-its-window", "unknown-kind", "json-scalar", "entry-without-t",
+        "entry-of-unknown-kind"])
+def test_query_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

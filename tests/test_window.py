@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -390,3 +391,26 @@ class TestBoundMonteCarloSmall:
             within += worst <= bound
         assert within / (runs - failures) >= 0.95
         assert failures / runs <= 0.10
+
+
+def _step_before_init():
+    # round 3 is also out of order, so this pins the init check before the round check
+    ds = random_dataset(np.random.default_rng(0), 5, 4)
+    WindowSynthesizer(WindowSynthConfig(T=4, k=2, noiseless=True), 0).step(ds, 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: WindowSynthConfig(T=4, k=2, rho=1.0, beta_target=0.0), ValueError,
+     "beta_target must lie in (0, 1)"),
+    (lambda: WindowSynthConfig(T=4, k=2, rho=1.0, beta_target=1.0), ValueError,
+     "beta_target must lie in (0, 1)"),
+    (lambda: WindowSynthConfig(T=4, k=2, rho=1.0, n_pad=-1), ValueError,
+     "n_pad must be non-negative"),
+    (_step_before_init, RuntimeError, "call init() before step()"),
+    (lambda: WindowSynthesizer(WindowSynthConfig(T=4, k=2, noiseless=True), 0).histogram(),
+     RuntimeError, "synthesizer has not published any round yet"),
+], ids=["beta-target-zero", "beta-target-one", "negative-n-pad", "step-before-init",
+        "histogram-before-a-round"])
+def test_window_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
