@@ -6,6 +6,7 @@ from .counters import MonotoneBank, TreeCounter
 from .cumulative import CumulativeSynthConfig, CumulativeSynthesizer
 from .dp import (
     BitSource,
+    DiscreteGaussianBatch,
     DiscreteGaussianSampler,
     ZCDPAccountant,
     zcdp_to_approx_dp,
@@ -37,6 +38,7 @@ __all__ = [
     "BitSource",
     "CumulativeSynthConfig",
     "CumulativeSynthesizer",
+    "DiscreteGaussianBatch",
     "DiscreteGaussianSampler",
     "LongitudinalDataset",
     "MonotoneBank",

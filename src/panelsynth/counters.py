@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .dp import BitSource, DiscreteGaussianSampler, ceil_log2
+from .dp import ceil_log2
 
 __all__ = ["MonotoneBank", "TreeCounter"]
 
@@ -16,32 +14,30 @@ class TreeCounter:
 
     Register j holds the running sum of a dyadic block of 2**j stream values.
     On round t, the lowest set bit of t names the register that absorbs all
-    lower registers plus the new value; that register alone is re-noised with
-    variance sigma2 (0 gives an exact counter), and the released prefix sum
-    adds the noisy registers picked out by t's binary expansion. Those are
-    the only nonzero registers, so the release sums them all: register j is
-    written on a round whose lowest set bit is j, and only lower registers
-    change until the round that clears bit j, whose fold zeroes register j.
-    Register folds are exact integer arithmetic, so all outputs are integers.
+    lower registers plus the new value; that register alone is re-noised,
+    with the noise the caller passes to :meth:`feed` (0 gives an exact
+    counter), and the released prefix sum adds the noisy registers picked
+    out by t's binary expansion. Those are the only nonzero registers, so
+    the release sums them all: register j is written on a round whose lowest
+    set bit is j, and only lower registers change until the round that
+    clears bit j, whose fold zeroes register j. Register folds are exact
+    integer arithmetic, so all outputs are integers.
     """
 
-    def __init__(self, horizon: int, sigma2: Fraction, rng=None):
+    def __init__(self, horizon: int):
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
         self.horizon = int(horizon)
         self.registers = ceil_log2(self.horizon) + 1
-        # at sigma2 = 0 the sampler returns 0 and reads no bits
-        self._sampler = DiscreteGaussianSampler(sigma2)
-        self.sigma2 = self._sampler.sigma2
-        if self.sigma2 and rng is None:
-            raise ValueError("a random source is required for a noisy counter")
-        self._bits = BitSource(rng)
         self.t = 0
         self.alpha = [0] * self.registers
         self.alpha_noisy = [0] * self.registers
 
-    def feed(self, z: int) -> int:
-        """Absorb the next stream value and return the noisy prefix sum."""
+    def feed(self, z: int, noise: int) -> int:
+        """Absorb the next stream value and return the noisy prefix sum.
+
+        ``noise`` is added to the one register this feed writes.
+        """
         if self.t >= self.horizon:
             raise ValueError(f"counter horizon {self.horizon} exhausted")
         z = int(z)
@@ -55,7 +51,7 @@ class TreeCounter:
             self.alpha[j] = 0
             self.alpha_noisy[j] = 0
         self.alpha[i] = acc
-        self.alpha_noisy[i] = acc + self._sampler.sample(self._bits)
+        self.alpha_noisy[i] = acc + int(noise)
         self.t = t
         return sum(self.alpha_noisy)
 

@@ -14,10 +14,19 @@ from fractions import Fraction
 import numpy as np
 
 from .counters import MonotoneBank, TreeCounter
-from .dp import ZCDPAccountant, ceil_log2
+from .dp import DiscreteGaussianBatch, ZCDPAccountant, ceil_log2
 from .model import LongitudinalDataset, RowGroups, SyntheticStore, check_next_round
 
 __all__ = ["CumulativeSynthConfig", "CumulativeSynthesizer"]
+
+MAX_COUNTER_SIGMA2 = 2**62
+
+
+def _tree_variance(horizon: int, rho_b: float) -> Fraction:
+    """ln(max(horizon, 2)) / (2 rho_b) exactly, each float taken as the rational it is."""
+    ln_num, ln_den = math.log(max(horizon, 2)).as_integer_ratio()
+    rho_num, rho_den = rho_b.as_integer_ratio()
+    return Fraction(ln_num * rho_den, 2 * ln_den * rho_num)
 
 
 @dataclass(frozen=True)
@@ -25,7 +34,12 @@ class CumulativeSynthConfig:
     """Run parameters for the cumulative synthesizer.
 
     The budget rho is split over thresholds b = 1..T by the error-equalizing
-    tree-counter split (:meth:`resolved_schedule`).
+    tree-counter split (:meth:`resolved_schedule`), worked out once per
+    config with the split weights and the counter variances. A noisy config
+    refuses a rho that gives some counter a register variance above
+    MAX_COUNTER_SIGMA2 = 2**62: a release sums the noise of at most 64
+    registers into the int64 s_tilde and bank, and at sigma <= 2**31 that
+    sum could pass 2**63 only through a register beyond 2**26 sigma.
     """
 
     T: int
@@ -35,30 +49,36 @@ class CumulativeSynthConfig:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("horizon must be at least 1")
-        if not self.noiseless and not min(self.resolved_schedule()) > 0:  # NaN and zero shares too
+        weights = np.array(
+            [max(ceil_log2(self.T - b + 1), 1) ** 3 for b in range(1, self.T + 1)], dtype=np.int64
+        )
+        weights.flags.writeable = False
+        schedule = ((0.0,) * self.T if self.noiseless
+                    else tuple((self.rho * (weights / weights.sum())).tolist()))
+        if not self.noiseless and not min(schedule) > 0:  # NaN and zero shares too
             raise ValueError("rho must be positive for a noisy run")
         if not self.noiseless and self.rho == math.inf:
             raise ValueError("rho must be finite for a noisy run")
+        sigma2 = ((Fraction(0),) * self.T if self.noiseless
+                  else tuple(_tree_variance(self.T - b + 1, rho_b)
+                             for b, rho_b in enumerate(schedule, start=1)))
+        if max(sigma2) > MAX_COUNTER_SIGMA2:
+            raise ValueError(f"rho {self.rho!r} is too small for counter noise that fits in int64")
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_schedule", schedule)
+        object.__setattr__(self, "_sigma2", sigma2)
 
     def split_weights(self) -> np.ndarray:
-        """Integer weights max(ceil(log2(T-b+1)), 1)**3 for thresholds b = 1..T."""
-        return np.array(
-            [max(ceil_log2(self.T - b + 1), 1) ** 3 for b in range(1, self.T + 1)], dtype=np.int64
-        )
+        """Integer weights max(ceil(log2(T-b+1)), 1)**3 for thresholds b = 1..T (read-only)."""
+        return self._weights
 
     def resolved_schedule(self) -> tuple[float, ...]:
         """Budgets rho * w / w.sum(); low thresholds watch deeper trees and get more of rho."""
-        if self.noiseless:
-            return (0.0,) * self.T
-        w = self.split_weights()
-        return tuple((self.rho * (w / w.sum())).tolist())
+        return self._schedule
 
     def counter_sigma2(self) -> tuple[Fraction, ...]:
         """Register variance ln(max(T - b + 1, 2)) / (2 rho_b) of counter b; 0 when noiseless."""
-        if self.noiseless:
-            return (Fraction(0),) * self.T
-        return tuple(Fraction(math.log(max(self.T - b + 1, 2))) / (2 * Fraction(rho_b))
-                     for b, rho_b in enumerate(self.resolved_schedule(), start=1))
+        return self._sigma2
 
     def public(self) -> dict:
         """Public engine parameters for metadata.json; no window, padding or padding failure."""
@@ -95,24 +115,36 @@ class CumulativeSynthesizer:
     """Engine for one run over a population of n true and n synthetic rows.
 
     Per round t: for each threshold b <= t, count the true new arrivals at
-    weight b, feed counter b, monotonize, and extend exactly
-    hat_S[b, t] - hat_S[b, t-1] synthetic rows out of the weight-(b-1) pool
-    with a 1. Pools are read at their round t-1 state, so the loop over b is
-    order-independent on disjoint pools; the row draws
-    (:class:`~panelsynth.model.RowGroups`, keyed by synthetic weight) follow
-    in ascending weight order.
+    weight b, feed counter b with the noise of the register it writes,
+    monotonize, and extend exactly hat_S[b, t] - hat_S[b, t-1] synthetic rows
+    out of the weight-(b-1) pool with a 1. Pools are read at their round t-1
+    state, so the loop over b is order-independent on disjoint pools; the
+    row draws (:class:`~panelsynth.model.RowGroups`, keyed by synthetic
+    weight) follow in ascending weight order.
+
+    The noise does not depend on the data: a run needs one draw per counter
+    feed, T(T+1)/2 in all, at the variances ``sigma2`` (public: counter b's
+    config variance rounded up within a relative 2**-20 by
+    :class:`~panelsynth.dp.DiscreteGaussianBatch`). Round 1 draws them all
+    in one batch, after its checks, from their own spawned stream and in
+    the order they are consumed: rounds t ascending, and within a round
+    thresholds b = 1..t. The draws not yet consumed are secret state.
     """
 
     def __init__(self, n: int, cfg: CumulativeSynthConfig, rng=None):
         self.cfg = cfg
         self.n = int(n)
         self.store = SyntheticStore(self.n)  # refuses n < 1
-        streams = np.random.default_rng(rng).spawn(cfg.T + 1)
-        self.counters = {
-            b: TreeCounter(cfg.T - b + 1, sigma2, streams[b - 1])
-            for b, sigma2 in enumerate(cfg.counter_sigma2(), start=1)
-        }
-        self._select = streams[cfg.T]
+        # the streams of Generator.spawn(T + 1): child 0 draws the noise and
+        # child T selects rows; the others are never built
+        bits = np.random.default_rng(rng).bit_generator
+        streams = bits.seed_seq.spawn(cfg.T + 1)
+        self._noise_rng = np.random.Generator(type(bits)(streams[0]))
+        self._select = np.random.Generator(type(bits)(streams[cfg.T]))
+        self._noise_batch = DiscreteGaussianBatch(cfg.counter_sigma2())
+        self.sigma2 = self._noise_batch.sigma2
+        self._noise: np.ndarray | None = None
+        self.counters = {b: TreeCounter(cfg.T - b + 1) for b in range(1, cfg.T + 1)}
         self.bank = MonotoneBank(cfg.T, m=self.n)
         # smallest unsigned dtype holding T: weights of at most 16 bits take
         # numpy's radix argsort, and the per-round `+= column` adds bytes
@@ -143,8 +175,12 @@ class CumulativeSynthesizer:
         hat = self.bank.hat
         pools = RowGroups(self._synth_weights, -np.diff(hat[: t + 1, t - 1]),
                           f"round {t}: weight pool")
+        if self._noise is None:
+            self._noise = self._noise_batch.sample(self._noise_rng,
+                                                   np.tril_indices(self.cfg.T)[1])
+        noise = self._noise[t * (t - 1) // 2 : t * (t + 1) // 2].tolist()
         for b in range(1, t + 1):
-            s_tilde = self.counters[b].feed(int(arrivals[b - 1]))
+            s_tilde = self.counters[b].feed(int(arrivals[b - 1]), noise[b - 1])
             self.s_tilde[b, t] = s_tilde
             self.bank.monotonize(b, t, s_tilde)
         column = pools.new_column(hat[1 : t + 1, t] - hat[1 : t + 1, t - 1], self._select)

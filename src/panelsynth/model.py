@@ -290,10 +290,17 @@ class RowGroups:
             raise RuntimeError(f"{what} sizes differ from the released counts")
 
     def new_column(self, ones, rng) -> np.ndarray:
-        """A new bit column with ``ones[z]`` uniformly random 1s in each group z."""
+        """A new bit column with ``ones[z]`` uniformly random 1s in each group z.
+
+        An empty group asked for no 1s is skipped: its permutation of 0 rows
+        would read no randomness either.
+        """
         column = np.zeros(self._order.size, dtype=np.uint8)
-        for start, stop, count in zip(self._starts.tolist(), self._stops.tolist(), ones):
-            mark_random_subset(column, self._order[start:stop], int(count), rng)
+        ones = np.asarray(ones)
+        visit = np.flatnonzero((self._stops > self._starts) | (ones != 0))
+        for start, stop, count in zip(self._starts[visit].tolist(), self._stops[visit].tolist(),
+                                      ones[visit].tolist()):
+            mark_random_subset(column, self._order[start:stop], count, rng)
         return column
 
 

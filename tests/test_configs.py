@@ -12,6 +12,7 @@ import io
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from conftest import (
     tree_noise_sigma2,
 )
 from panelsynth.cli import main
-from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
+from panelsynth.cumulative import MAX_COUNTER_SIGMA2, CumulativeSynthConfig, CumulativeSynthesizer
 from panelsynth.window import WindowSynthConfig, WindowSynthesizer
 
 RHOS = st.floats(1e-6, 1e6)
@@ -99,10 +100,13 @@ class TestCumulativeConfig:
 def test_each_engine_samples_with_its_config_variance(noiseless):
     window = WindowSynthConfig(T=6, k=2, rho=0.3, noiseless=noiseless)
     assert WindowSynthesizer(window, 1)._sampler.sigma2 == window.sigma2
+    # the cumulative engine samples each counter's variance rounded up within 2**-20
     cumulative = CumulativeSynthConfig(T=6, rho=0.3, noiseless=noiseless)
-    counters = CumulativeSynthesizer(20, cumulative, 1).counters
-    assert sorted(counters) == [1, 2, 3, 4, 5, 6]
-    assert tuple(counters[b].sigma2 for b in range(1, 7)) == cumulative.counter_sigma2()
+    synth = CumulativeSynthesizer(20, cumulative, 1)
+    assert sorted(synth.counters) == [1, 2, 3, 4, 5, 6]
+    assert len(synth.sigma2) == 6
+    for sampled, exact in zip(synth.sigma2, cumulative.counter_sigma2()):
+        assert exact <= sampled <= exact * (1 + Fraction(1, 2**20))
     assert all(sigma2 == 0 for sigma2 in cumulative.counter_sigma2()) == noiseless
 
 
@@ -120,10 +124,23 @@ def test_noisy_config_refuses_rho_that_is_not_positive_and_finite(make, rho):
 
 
 def test_cumulative_config_refuses_a_rho_whose_split_underflows():
-    # a zero share would make its counter's variance ln(H) / 0
-    assert min(CumulativeSynthConfig(T=120, rho=1e-300).resolved_schedule()) > 0
+    # a zero share would make its counter's variance ln(H) / 0; at 1e-300 every
+    # share is positive, and the int64 bound on the counter noise refuses it instead
+    with pytest.raises(ValueError, match="^rho 1e-300 is too small for counter noise that fits in int64$"):
+        CumulativeSynthConfig(T=120, rho=1e-300)
     with pytest.raises(ValueError, match="rho must be positive for a noisy run"):
         CumulativeSynthConfig(T=120, rho=1e-320)
+
+
+@pytest.mark.parametrize("T", [1, 12, 120])
+def test_cumulative_config_bounds_the_counter_variance(T):
+    # the largest variance is ln(2) / (2 rho_b) at the weight-1 shares; rho =
+    # edge puts it at 2**63 and rho = 4 edge at 2**61, on either side of 2**62
+    weights = cumulative_split_weights(T)
+    edge = math.log(2) * int(weights.sum()) / 2**64
+    assert max(CumulativeSynthConfig(T=T, rho=4 * edge).counter_sigma2()) <= MAX_COUNTER_SIGMA2
+    with pytest.raises(ValueError, match="too small for counter noise that fits in int64"):
+        CumulativeSynthConfig(T=T, rho=edge)
 
 
 @pytest.mark.parametrize("make", NOISY_CONFIGS, ids=["window", "cumulative"])

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from conftest import MonotoneBankReference
 from panelsynth.counters import MonotoneBank, TreeCounter
 from panelsynth.cumulative import CumulativeSynthConfig
-from panelsynth.dp import ceil_log2
+from panelsynth.dp import DiscreteGaussianBatch, ceil_log2
 
 # ln(T) / (2 rho) at T = 8, rho = 0.5
 LN8 = Fraction(math.log(8))
 
 
 def _renoised_registers(counter: TreeCounter, stream) -> list[int]:
-    """Feed a noiseless counter; per round, the one register that is re-noised."""
+    """Feed a counter with zero noise; per round, the one register that is re-noised."""
     out = []
     for z in stream:
-        counter.feed(int(z))
+        counter.feed(int(z), 0)
         t = counter.t
         out.append(counter.alpha[(t & -t).bit_length() - 1])
     return out
@@ -37,11 +37,14 @@ class TestTreeNoiseScale:
         assert float(sigma2) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_noiseless_sentinel(self):
-        # noiseless is sigma2 = 0: the counter needs no random source and its sampler draws 0
+        # noiseless is sigma2 = 0: the batch draws 0 for every feed and reads no randomness
         assert CumulativeSynthConfig(T=8, noiseless=True).counter_sigma2() == (0,) * 8
-        counter = TreeCounter(8, 0)
-        assert counter.sigma2 == 0
-        assert [counter.feed(1) for _ in range(8)] == list(range(1, 9))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        noise = DiscreteGaussianBatch([0]).sample(rng, np.zeros(8, dtype=np.intp))
+        assert rng.bit_generator.state == state
+        counter = TreeCounter(8)
+        assert [counter.feed(1, v) for v in noise] == list(range(1, 9))
 
     def test_rejects_zero_rho(self):
         for rho in (0.0, math.inf, math.nan):  # infinity is not a noiseless sentinel
@@ -51,46 +54,44 @@ class TestTreeNoiseScale:
 
 class TestTreeCounterExact:
     def test_noiseless_prefix_sums(self):
-        counter = TreeCounter(8, 0)
-        assert [counter.feed(z) for z in (1, 2, 3)] == [1, 3, 6]
+        counter = TreeCounter(8)
+        assert [counter.feed(z, 0) for z in (1, 2, 3)] == [1, 3, 6]
 
     def test_register_count(self):
         for T, want in ((1, 1), (2, 2), (5, 4), (8, 4), (9, 5)):
-            assert TreeCounter(T, 0).registers == ceil_log2(T) + 1
+            assert TreeCounter(T).registers == ceil_log2(T) + 1
 
     def test_t3_sums_two_registers(self):
-        counter = TreeCounter(8, 0)
-        counter.feed(5)
-        counter.feed(7)
-        counter.feed(11)
+        counter = TreeCounter(8)
+        counter.feed(5, 0)
+        counter.feed(7, 0)
+        counter.feed(11, 0)
         # t = 3 = 0b11: registers 0 and 1 are both live
         assert counter.alpha[0] == 11 and counter.alpha[1] == 12
 
     def test_t4_folds_into_single_register(self):
-        counter = TreeCounter(8, 0)
+        counter = TreeCounter(8)
         assert _renoised_registers(counter, (1, 2, 3, 4)) == [1, 3, 3, 10]
         # t = 4 = 0b100: registers 0 and 1 were folded and zeroed
         assert counter.alpha[2] == 10
         assert counter.alpha[0] == 0 and counter.alpha[1] == 0
 
     def test_feed_past_horizon(self):
-        counter = TreeCounter(2, 0)
-        counter.feed(0)
-        counter.feed(0)
+        counter = TreeCounter(2)
+        counter.feed(0, 0)
+        counter.feed(0, 0)
         with pytest.raises(ValueError, match="horizon"):
-            counter.feed(0)
+            counter.feed(0, 0)
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
-            TreeCounter(4, 0).feed(-1)
-
-    def test_noisy_counter_needs_a_random_source(self):
-        with pytest.raises(ValueError, match="a random source is required for a noisy counter"):
-            TreeCounter(8, LN8)
+            TreeCounter(4).feed(-1, 0)
 
     def test_noisy_outputs_are_integers(self):
-        counter = TreeCounter(8, LN8, np.random.default_rng(3))
-        outs = [counter.feed(z) for z in range(1, 9)]
+        # the batch hands out numpy int64 noise; the releases are Python ints
+        noise = DiscreteGaussianBatch([LN8]).sample(np.random.default_rng(3), np.zeros(8, dtype=np.intp))
+        counter = TreeCounter(8)
+        outs = [counter.feed(z, v) for z, v in zip(range(1, 9), noise)]
         assert all(isinstance(v, int) for v in outs)
 
 
@@ -104,8 +105,8 @@ class TestTreeCounterNeighborSensitivity:
         for t0 in range(T):
             neighbor = stream.copy()
             neighbor[t0] += 1
-            a = _renoised_registers(TreeCounter(T, 0), stream)
-            b = _renoised_registers(TreeCounter(T, 0), neighbor)
+            a = _renoised_registers(TreeCounter(T), stream)
+            b = _renoised_registers(TreeCounter(T), neighbor)
             differing = sum(x != y for x, y in zip(a, b))
             assert differing <= ceil_log2(T) + 1
 
@@ -117,16 +118,17 @@ class TestTreeCounterAccuracyShape:
         T = 8
         runs = 10_000
         sigma2 = float(LN8)
-        rng = np.random.default_rng(2024)
+        noise = DiscreteGaussianBatch([LN8]).sample(np.random.default_rng(2024),
+                                                    np.zeros(runs * T, dtype=np.intp))
         exceed = 0
         total = 0
-        for ss in rng.spawn(runs):
-            counter = TreeCounter(T, LN8, ss)
+        for draws in noise.reshape(runs, T).tolist():
+            counter = TreeCounter(T)
             truth = 0
             for t in range(1, T + 1):
                 z = t % 3
                 truth += z
-                noisy = counter.feed(z)
+                noisy = counter.feed(z, draws[t - 1])
                 bound = 6 * math.sqrt(sigma2 * max(ceil_log2(t), 1))
                 exceed += abs(noisy - truth) > bound
                 total += 1
@@ -237,9 +239,11 @@ class TestTreeCounterRegisterSupport:
                            label="stream")
         sigma2 = data.draw(st.sampled_from([Fraction(1, 3), Fraction(4), Fraction(250)]))
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        counter = TreeCounter(horizon, sigma2, np.random.default_rng(seed))
-        for z in stream:
-            counter.feed(z)
+        noise = DiscreteGaussianBatch([sigma2]).sample(np.random.default_rng(seed),
+                                                       np.zeros(horizon, dtype=np.intp))
+        counter = TreeCounter(horizon)
+        for z, v in zip(stream, noise):
+            counter.feed(z, v)
             clear = [j for j in range(counter.registers) if not (counter.t >> j) & 1]
             assert [counter.alpha[j] for j in clear] == [0] * len(clear)
             assert [counter.alpha_noisy[j] for j in clear] == [0] * len(clear)
@@ -247,7 +251,7 @@ class TestTreeCounterRegisterSupport:
 
 @pytest.mark.parametrize("call, message", [
     (lambda: CumulativeSynthConfig(T=0), "horizon must be at least 1"),
-    (lambda: TreeCounter(0, 0), "horizon must be at least 1"),
+    (lambda: TreeCounter(0), "horizon must be at least 1"),
     (lambda: MonotoneBank(0, 1), "horizon must be at least 1"),
     (lambda: MonotoneBank(3, -1), "population size must be non-negative"),
 ], ids=["config-T-0", "counter-horizon-0", "bank-T-0", "bank-negative-population"])

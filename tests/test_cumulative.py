@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import cumulative_reference, random_dataset
 from panelsynth.cli import main
 from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
-from panelsynth.dp import DiscreteGaussianSampler
+from panelsynth.dp import DiscreteGaussianBatch
 from panelsynth.model import LongitudinalDataset, true_cumulative_counts
 
 
@@ -198,20 +198,21 @@ class TestReleaseInvariant:
 
 
 def _tapped_run(cfg, ds, seed):
-    """Run the engine, recording its noise draws in draw order."""
+    """Run the engine, recording the noise draws it consumed, in draw order."""
     noise = []
-    sample = DiscreteGaussianSampler.sample
+    sample = DiscreteGaussianBatch.sample
 
-    def tapped_sample(self, bits):
-        value = sample(self, bits)
-        noise.append(value)
-        return value
+    def tapped_sample(self, rng, index=None):
+        values = sample(self, rng, index)
+        noise.extend(values.tolist())
+        return values
 
     synth = CumulativeSynthesizer(ds.n, cfg, np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(DiscreteGaussianSampler, "sample", tapped_sample)
+        patch.setattr(DiscreteGaussianBatch, "sample", tapped_sample)
         synth.run(ds)
-    return synth, noise
+    # the batch holds all T(T+1)/2 draws; a run of t rounds consumes the first t(t+1)/2
+    return synth, noise[: synth.t * (synth.t + 1) // 2]
 
 
 class TestCumulativeReference:

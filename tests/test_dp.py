@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gof_pvalue, sign_symmetry_pvalue
+from panelsynth import dp
 from panelsynth.cumulative import CumulativeSynthConfig
 from panelsynth.dp import (
     BitSource,
+    DiscreteGaussianBatch,
     DiscreteGaussianSampler,
     ZCDPAccountant,
     ceil_log2,
@@ -218,3 +220,124 @@ class TestEnvelopeScale:
         a = math.isqrt(num // den)
         assert a * a * den <= num < (a + 1) * (a + 1) * den
         assert DiscreteGaussianSampler(Fraction(num, den))._t == a + 1
+
+
+def _batch_draws(sigma2s, index, seed) -> np.ndarray:
+    return DiscreteGaussianBatch(sigma2s).sample(np.random.default_rng(seed),
+                                                 np.asarray(index, dtype=np.intp))
+
+
+def _reach(sigma2) -> int:
+    # at least 8 and at least 6.3 sigma, like criterion 8's 8 at sigma2 = 1 and 280 at 2000
+    return int(math.ceil(max(6.3, 8 / math.sqrt(float(sigma2))) * math.sqrt(float(sigma2))))
+
+
+class TestDiscreteGaussianBatch:
+    # criterion 8's tolerances: goodness of fit p > 0.001 and variance at most
+    # 1.05 sigma2; its 0.01 bound on the mean is below one standard error past
+    # sigma2 = 100 at these sample sizes, so the mean may be off by 4 of them
+    @pytest.mark.parametrize("sigma2", [Fraction(1, 2), Fraction(9, 4), 4, 2000, 5100])
+    def test_pmf_fits(self, sigma2):
+        count = 400_000
+        xs = _batch_draws([sigma2], np.zeros(count), seed=int(4 * sigma2))
+        assert abs(xs.mean()) <= max(0.01, 4 * math.sqrt(float(sigma2) / count))
+        assert xs.var() <= 1.05 * float(sigma2)
+        reach = _reach(sigma2)
+        assert gof_pvalue(xs, float(sigma2), -reach, reach) > 0.001
+
+    def test_each_level_of_a_mix_fits_its_own_pmf(self):
+        sigma2s = [Fraction(1, 2), Fraction(9, 4), 4, 2000]
+        index = np.random.default_rng(1).permutation(np.repeat(np.arange(4), 100_000))
+        xs = _batch_draws(sigma2s, index, seed=2)
+        for level, sigma2 in enumerate(sigma2s):
+            reach = _reach(sigma2)
+            assert gof_pvalue(xs[index == level], float(sigma2), -reach, reach) > 0.001
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(min_value=Fraction(1, 10**6), max_value=10**12),
+           st.integers(1, 300), st.floats(1e-6, 1e6))
+    def test_sampled_sigma2_is_rounded_up_within_2_to_the_minus_20(self, sigma2, T, rho):
+        for exact in (sigma2, max(CumulativeSynthConfig(T=T, rho=rho).counter_sigma2())):
+            params = dp._batch_params(exact)
+            (sampled,) = DiscreteGaussianBatch([exact]).sigma2
+            if params is None:
+                assert sampled == exact
+                continue
+            num, den, t, gden, y_cap = params
+            assert sampled == Fraction(num, den) and den & (den - 1) == 0
+            assert exact <= sampled <= exact * (1 + Fraction(1, 2**20))
+            # every int64 intermediate stays below 2**62
+            assert gden * dp._K_MAX < 2**62 and num < 2**31 and y_cap >= 32 * t
+            assert (y_cap * den * t - num) ** 2 < 2**62
+
+    def test_zero_variance_draws_zero_and_reads_nothing(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert DiscreteGaussianBatch([0, 0]).sample(rng, [0, 1, 1]).tolist() == [0, 0, 0]
+        assert rng.bit_generator.state == state
+
+    def test_negative_variance_is_refused(self):
+        with pytest.raises(ValueError, match="^sigma2 must be non-negative$"):
+            DiscreteGaussianBatch([1, -1])
+
+    def test_out_of_domain_level_takes_the_exact_path_after_the_batch(self):
+        # sigma2 = 2**40 would take the int64 test past 2**62: the scalar
+        # sampler draws it at its exact sigma2, after the batch elements
+        huge = Fraction(2**40)
+        batch = DiscreteGaussianBatch([4, huge])
+        assert batch.sigma2 == (4, huge)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        xs = batch.sample(rng, [0, 1, 0, 1])
+        head = DiscreteGaussianBatch([4]).sample(ref, [0, 0])
+        bits = BitSource(ref)
+        tail = [DiscreteGaussianSampler(huge).sample(bits) for _ in range(2)]
+        assert xs.tolist() == [head[0], tail[0], head[1], tail[1]]
+
+    def test_far_candidates_take_the_exact_test(self):
+        # y_cap = 0 sends every candidate with |Y| > 0 to the Python-int
+        # acceptance test; the draws must still fit the pmf
+        num, den, t, gden, _ = dp._batch_params(Fraction(4))
+        row = (t, den * t, num, gden, gden // t, 0)
+        xs = dp._cks_batch(np.random.default_rng(8), np.array([row] * 20_000, dtype=np.int64))
+        assert gof_pvalue(xs, 4.0, -20, 20) > 0.001
+
+    def test_exp1_trials_past_step_20_finish_the_series(self):
+        # W = 0 passes steps 2..20; the series then stops at an odd step with
+        # probability sum over odd k >= 21 of P(stop at k | reach 21)
+        real = np.random.default_rng(13)
+
+        class FirstDrawZero:
+            first = True
+
+            def integers(self, low, high, size=None):
+                if self.first:
+                    self.first = False
+                    return np.zeros(size, dtype=np.int64)
+                return real.integers(low, high, size=size)
+
+        ok = dp._exp1(FirstDrawZero(), (20_000,))
+        p, reach = 0.0, 1.0
+        for k in range(21, 60):
+            p += reach * (1 - 1 / k) * (k % 2)
+            reach /= k
+        assert abs(ok.mean() - p) < 5 * math.sqrt(p * (1 - p) / ok.size)
+
+    @pytest.mark.parametrize("a, g", [(0, 7), (1, 3), (5, 7), (7, 7), (123456, 1 << 40)])
+    def test_bernoulli_exp_rate(self, a, g):
+        count = 200_000
+        ok = dp._bernoulli_exp(np.random.default_rng(a + 1), np.full(count, a), np.full(count, g))
+        p = math.exp(-a / g)
+        assert abs(ok.mean() - p) < 5 * math.sqrt(p * (1 - p) / count) + 1e-12
+
+    def test_bernoulli_exp_past_the_product_ranges(self):
+        # from step k > _K_MAX each step draws Bernoulli(a / g) and Bernoulli(1 / k)
+        k, count = dp._K_MAX + 1, 100_000
+        a, g = np.full(count, 3), np.full(count, 4)
+        ok = dp._bernoulli_exp(np.random.default_rng(21), a, g, k)
+        # P(stop at k) + P(stop at k + 2) + ..., each step passing with probability 3 / (4 K)
+        p, reach = 0.0, 1.0
+        for step in range(k, k + 40):
+            stop = 1 - 3 / (4 * step)
+            p += reach * stop * (step % 2)
+            reach *= 1 - stop
+        assert abs(ok.mean() - p) < 5 * math.sqrt(p * (1 - p) / count)

@@ -103,9 +103,9 @@ def test_window_padding_failure_is_pinned():
     "T, n, rho, seed, digest",
     [
         (12, 3000, 0.05, 112,
-         "565228bd4fc62aa55c4a6f03ccbfd48375598270fe9d1305f6a09273525414e5"),
+         "dc54d3a6210f657e206719b379b573c386e1cefe3f89a7ef24a6fcf6fb3e175b"),
         (40, 1000, 0.5, 140,
-         "1a25cca7b6ecfa349439a9a4cac456b798988bbd6acd1a88f01b6a97f46c1c64"),
+         "67a7c5b411ca3b6de102cd8f5ec07547cce5a670a2ed98dcc7afdd76c07b6672"),
     ],
     ids=["T12", "T40"],
 )
@@ -127,5 +127,5 @@ def test_cumulative_large_pools_are_pinned():
     sides = _large_pool_sides(store, 1, lambda t: matrix[:, : t - 1].sum(axis=1))
     assert sides == {"direct", "complement"}
     assert _digest(store) == (
-        "fbd76fdcd2aac2295fac1e2205aad55db5af4b428926a11175223918d1825a43"
+        "b29ca447d3531055d77223dd8cbb80d909da2cac746e2330390721189781f5de"
     )

@@ -38,12 +38,12 @@ WINDOW_CSVS = {
     "synth_rep0.csv": "5853770f4b8c0e81c62f5b5e94398f263a25e14796e16e2cda0edfefd965a1bf",
 }
 CUMULATIVE_CSVS = {
-    "answers.csv": "2c0b3b49482e2237edfb95e3a978d03e060ccb04cfa7386cbe2effc4f06919df",
-    "errors.csv": "96933ffa4d06f8d9b3a93d7442768402385c4761397977ef497a04ecee024333",
+    "answers.csv": "e641aac917292f47f59512c2d2072f7de0f7b3d9aa52f53dd66f530c3cf8760c",
+    "errors.csv": "a7d824dba87a659ee4c9021adb31f178434a2cc377e5db509af50bb4916f32c5",
     "failures.csv": "5a279ed38c7dc84e3d220c329f10a802bd273d54c0588f6e569d9e84ae53d33b",
-    "summary.csv": "b06ed7ab0a94e2b33c8c659bdd0e7aeb4e0a763ec3e46b444a341e4a4007d9ac",
-    "synth_rep0.csv": "314dfd99eb2fe91edb96363e2c0997fb076096b0881894dda0733555b20757e2",
-    "synth_rep1.csv": "c9a72912c42d8bf3617c58f0816c930cf6a3aa222d30e72c2b2406d392193b71",
+    "summary.csv": "37b239dfd1ef66a54cb7d303ed3f22c29456478c9dc13783c1a1dfbf74e5e122",
+    "synth_rep0.csv": "0b1bac957c2f83daaadd43fb989df6559411efeb122dd0e70dd204b55bd55c7e",
+    "synth_rep1.csv": "986cf8538709ed55a3203e3a891ea884087f23a6b531d6cf7ec9030542cc7054",
 }
 METADATA = {
     ("window", 1): "821bde9aa4e9316095cfc66397fe852897eaf9e2c2b3024ab5201780bb2fbc00",

@@ -561,7 +561,10 @@ class TestCli:
         (["synth-cumulative", "--rho", "-1"], "rho must be positive for a noisy run"),
         (["synth-window", "--k", "3", "--rho", "1e-320", "--n-pad", "5"],
          "rho 1e-320 is too small for a finite noise scale"),
-    ], ids=["window-rho-0", "k-past-T", "cumulative-rho-negative", "window-rho-tiny"])
+        (["synth-cumulative", "--rho", "1e-300"],
+         "rho 1e-300 is too small for counter noise that fits in int64"),
+    ], ids=["window-rho-0", "k-past-T", "cumulative-rho-negative", "window-rho-tiny",
+            "cumulative-rho-tiny"])
     def test_refused_config_exit_code(self, tmp_path, capsys, argv, message):
         rc = main([*argv, "--sim-kind", "bernoulli", "--n", "10", "--T", "12",
                    "--out", str(tmp_path / "run")])
@@ -582,8 +585,10 @@ class TestCli:
         (["--rho", "inf"], "rho must be finite for a noisy run"),
         # (T - k + 1) / rho overflows, so neither padding nor noise scale is finite
         (["--rho", "1e-320"], "rho 1e-320 is too small for a finite noise scale"),
+        (["--mode", "cumulative", "--rho", "1e-300"],
+         "rho 1e-300 is too small for counter noise that fits in int64"),
     ], ids=["beta-past-1", "cumulative-n-negative", "c-frac-past-1", "rho-nan", "rho-inf",
-            "rho-tiny"])
+            "rho-tiny", "cumulative-rho-tiny"])
     def test_out_of_range_bound_exit_code(self, capsys, argv, message):
         rc = main(["bound", "--T", "12", "--k", "3", "--rho", "0.005", *argv])
         assert rc == 2

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from panelsynth.dp import BitSource, ceil_log2, zcdp_to_approx_dp
 from panelsynth.model import (
     LongitudinalDataset,
+    RowGroups,
     SuffixHistogram,
     SyntheticStore,
     mark_random_subset,
@@ -372,6 +373,31 @@ class TestMarkRandomSubset:
         df = size - 1
         assert abs(float((z**2).sum()) - df) < 6 * math.sqrt(2 * df)
         assert float(np.abs(z).max()) < 5.5
+
+
+class TestRowGroups:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_new_column_matches_a_draw_for_every_group(self, data):
+        # skipping empty groups reads the same randomness as visiting them all
+        sizes = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 7]), min_size=1, max_size=12))
+        ones = [data.draw(st.integers(0, size)) for size in sizes]
+        keys = np.random.default_rng(len(sizes)).permutation(np.repeat(np.arange(len(sizes)), sizes))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        column = RowGroups(keys.astype(np.uint8), np.array(sizes), "pool").new_column(
+            np.array(ones), rng)
+        expected = np.zeros(keys.size, dtype=np.uint8)
+        order = np.argsort(keys, kind="stable")
+        for stop, size, count in zip(np.cumsum(sizes).tolist(), sizes, ones):
+            mark_random_subset(expected, order[stop - size:stop], count, ref)
+        np.testing.assert_array_equal(column, expected)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_empty_group_asked_for_ones_is_refused(self):
+        groups = RowGroups(np.array([0, 0, 2], dtype=np.uint8), np.array([2, 0, 1]), "pool")
+        with pytest.raises(ValueError, match="^cannot mark 1 rows of a pool of 0$"):
+            groups.new_column(np.array([1, 1, 0]), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("call, message", [
