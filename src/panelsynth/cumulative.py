@@ -14,12 +14,10 @@ from fractions import Fraction
 import numpy as np
 
 from .counters import MonotoneBank, TreeCounter
-from .dp import DiscreteGaussianBatch, ZCDPAccountant, ceil_log2
+from .dp import MAX_NOISE_SIGMA2, DiscreteGaussianBatch, ZCDPAccountant, ceil_log2
 from .model import LongitudinalDataset, RowGroups, SyntheticStore, check_next_round
 
 __all__ = ["CumulativeSynthConfig", "CumulativeSynthesizer"]
-
-MAX_COUNTER_SIGMA2 = 2**62
 
 
 def _tree_variance(horizon: int, rho_b: float) -> Fraction:
@@ -37,9 +35,7 @@ class CumulativeSynthConfig:
     tree-counter split (:meth:`resolved_schedule`), worked out once per
     config with the split weights and the counter variances. A noisy config
     refuses a rho that gives some counter a register variance above
-    MAX_COUNTER_SIGMA2 = 2**62: a release sums the noise of at most 64
-    registers into the int64 s_tilde and bank, and at sigma <= 2**31 that
-    sum could pass 2**63 only through a register beyond 2**26 sigma.
+    :data:`~panelsynth.dp.MAX_NOISE_SIGMA2`, so s_tilde and the bank fit in int64.
     """
 
     T: int
@@ -62,7 +58,7 @@ class CumulativeSynthConfig:
         sigma2 = ((Fraction(0),) * self.T if self.noiseless
                   else tuple(_tree_variance(self.T - b + 1, rho_b)
                              for b, rho_b in enumerate(schedule, start=1)))
-        if max(sigma2) > MAX_COUNTER_SIGMA2:
+        if max(sigma2) > MAX_NOISE_SIGMA2:
             raise ValueError(f"rho {self.rho!r} is too small for counter noise that fits in int64")
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_schedule", schedule)
@@ -126,21 +122,17 @@ class CumulativeSynthesizer:
     feed, T(T+1)/2 in all, at the variances ``sigma2`` (public: counter b's
     config variance rounded up within a relative 2**-20 by
     :class:`~panelsynth.dp.DiscreteGaussianBatch`). Round 1 draws them all
-    in one batch, after its checks, from their own spawned stream and in
-    the order they are consumed: rounds t ascending, and within a round
-    thresholds b = 1..t. The draws not yet consumed are secret state.
+    in one batch, after its checks, from child 0 of ``spawn(2)`` (child 1
+    selects rows) and in the order they are consumed: rounds t ascending,
+    and within a round thresholds b = 1..t. The draws not yet consumed are
+    secret state.
     """
 
     def __init__(self, n: int, cfg: CumulativeSynthConfig, rng=None):
         self.cfg = cfg
         self.n = int(n)
         self.store = SyntheticStore(self.n)  # refuses n < 1
-        # the streams of Generator.spawn(T + 1): child 0 draws the noise and
-        # child T selects rows; the others are never built
-        bits = np.random.default_rng(rng).bit_generator
-        streams = bits.seed_seq.spawn(cfg.T + 1)
-        self._noise_rng = np.random.Generator(type(bits)(streams[0]))
-        self._select = np.random.Generator(type(bits)(streams[cfg.T]))
+        self._noise_rng, self._select = np.random.default_rng(rng).spawn(2)
         self._noise_batch = DiscreteGaussianBatch(cfg.counter_sigma2())
         self.sigma2 = self._noise_batch.sigma2
         self._noise: np.ndarray | None = None

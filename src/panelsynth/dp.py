@@ -29,6 +29,12 @@ __all__ = [
 # Budget arithmetic
 
 
+# Bound on every noise variance an engine holds: at sigma <= 2**31, an int64 count (a sum
+# of at most 64 tree registers, or one draw over padded counts below 2**62) can overflow
+# only through a draw past 2**26 sigma.
+MAX_NOISE_SIGMA2 = 2**62
+
+
 def zcdp_to_approx_dp(rho: float, delta: float) -> float:
     """Epsilon such that rho-zCDP implies (epsilon, delta)-DP."""
     if not 0 < delta < 1:

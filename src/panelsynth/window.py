@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dp import BitSource, DiscreteGaussianSampler, ZCDPAccountant
+from .dp import MAX_NOISE_SIGMA2, BitSource, DiscreteGaussianSampler, ZCDPAccountant
 from .model import (
     LongitudinalDataset,
     RowGroups,
@@ -98,9 +98,11 @@ class WindowSynthConfig:
             raise ValueError("rho must be positive for a noisy run")
         if not self.noiseless and self.rho == math.inf:
             raise ValueError("rho must be finite for a noisy run")
-        if not self.noiseless and not math.isfinite(self.update_steps / self.rho):
-            raise ValueError(f"rho {self.rho!r} is too small for a finite noise scale")
-        self.resolved_n_pad()  # refuses a beta_target too small for a finite padding
+        if self.sigma2 > MAX_NOISE_SIGMA2:
+            raise ValueError(f"rho {self.rho!r} is too small for noise that fits in int64")
+        n_pad = self.resolved_n_pad()  # refuses a beta_target too small for a finite padding
+        if n_pad << self.k > MAX_NOISE_SIGMA2:
+            raise ValueError(f"n_pad {n_pad} is too large for counts that fit in int64")
 
     @property
     def update_steps(self) -> int:
@@ -177,9 +179,8 @@ class WindowSynthesizer:
 
     def __init__(self, cfg: WindowSynthConfig, rng=None):
         self.cfg = cfg
-        noise_rng, select_rng = np.random.default_rng(rng).spawn(2)
+        noise_rng, self._select = np.random.default_rng(rng).spawn(2)
         self._bits = BitSource(noise_rng)
-        self._select = select_rng
         self.n_pad = cfg.resolved_n_pad()
         self._sampler = DiscreteGaussianSampler(cfg.sigma2)
         self.accountant = ZCDPAccountant()
@@ -204,7 +205,7 @@ class WindowSynthesizer:
             code = int(negative[0])
             raise PaddingExhaustedError(t, suffix_string(code, self.cfg.k), int(counts[code]))
 
-    def init(self, dataset: LongitudinalDataset) -> np.ndarray:
+    def init(self, dataset: LongitudinalDataset) -> SyntheticStore:
         """Consume rounds 1..k and publish the first k synthetic columns.
 
         The starting records realize the noisy counts exactly, assigned in
@@ -229,7 +230,7 @@ class WindowSynthesizer:
         self._state = (codes & overlap).astype(np.min_scalar_type(overlap))
         self.released.append(c_hat)
         self.t = k
-        return self.store.matrix()
+        return self.store
 
     def step(self, dataset: LongitudinalDataset, t: int) -> np.ndarray:
         """Publish the synthetic column for round t = current round + 1."""

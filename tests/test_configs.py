@@ -30,7 +30,8 @@ from conftest import (
     tree_noise_sigma2,
 )
 from panelsynth.cli import main
-from panelsynth.cumulative import MAX_COUNTER_SIGMA2, CumulativeSynthConfig, CumulativeSynthesizer
+from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
+from panelsynth.dp import MAX_NOISE_SIGMA2
 from panelsynth.window import WindowSynthConfig, WindowSynthesizer
 
 RHOS = st.floats(1e-6, 1e6)
@@ -138,9 +139,19 @@ def test_cumulative_config_bounds_the_counter_variance(T):
     # edge puts it at 2**63 and rho = 4 edge at 2**61, on either side of 2**62
     weights = cumulative_split_weights(T)
     edge = math.log(2) * int(weights.sum()) / 2**64
-    assert max(CumulativeSynthConfig(T=T, rho=4 * edge).counter_sigma2()) <= MAX_COUNTER_SIGMA2
+    assert max(CumulativeSynthConfig(T=T, rho=4 * edge).counter_sigma2()) <= MAX_NOISE_SIGMA2
     with pytest.raises(ValueError, match="too small for counter noise that fits in int64"):
         CumulativeSynthConfig(T=T, rho=edge)
+
+
+@pytest.mark.parametrize("T, k", [(1, 1), (12, 3), (120, 10)])
+def test_window_config_bounds_the_noise_variance(T, k):
+    # the per-bin variance is (T - k + 1) / (2 rho); rho = edge puts it at
+    # 2**63 and rho = 4 edge at 2**61, on either side of 2**62
+    edge = (T - k + 1) / 2**64
+    assert WindowSynthConfig(T=T, k=k, rho=4 * edge).sigma2 <= MAX_NOISE_SIGMA2
+    with pytest.raises(ValueError, match=f"^rho {edge!r} is too small for noise that fits in int64$"):
+        WindowSynthConfig(T=T, k=k, rho=edge)
 
 
 @pytest.mark.parametrize("make", NOISY_CONFIGS, ids=["window", "cumulative"])

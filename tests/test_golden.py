@@ -103,9 +103,9 @@ def test_window_padding_failure_is_pinned():
     "T, n, rho, seed, digest",
     [
         (12, 3000, 0.05, 112,
-         "dc54d3a6210f657e206719b379b573c386e1cefe3f89a7ef24a6fcf6fb3e175b"),
+         "10bce9eef5e3f1a78a4a5f2e02245af61966c2f8db39301fa71354ddb1f101ca"),
         (40, 1000, 0.5, 140,
-         "67a7c5b411ca3b6de102cd8f5ec07547cce5a670a2ed98dcc7afdd76c07b6672"),
+         "955801a708a09871b0c0fbbafa848b29b85bac636aa5ff656dfc165b1ebd8bdf"),
     ],
     ids=["T12", "T40"],
 )
@@ -127,5 +127,5 @@ def test_cumulative_large_pools_are_pinned():
     sides = _large_pool_sides(store, 1, lambda t: matrix[:, : t - 1].sum(axis=1))
     assert sides == {"direct", "complement"}
     assert _digest(store) == (
-        "b29ca447d3531055d77223dd8cbb80d909da2cac746e2330390721189781f5de"
+        "a3b81b65a3b657cf968a42f5ea6d998866e75fdff944e0602ac30e7c7d41bc7b"
     )

@@ -38,12 +38,12 @@ WINDOW_CSVS = {
     "synth_rep0.csv": "5853770f4b8c0e81c62f5b5e94398f263a25e14796e16e2cda0edfefd965a1bf",
 }
 CUMULATIVE_CSVS = {
-    "answers.csv": "e641aac917292f47f59512c2d2072f7de0f7b3d9aa52f53dd66f530c3cf8760c",
+    "answers.csv": "3cb60f61316a11ee147edc092f702e7500df2782df9273911f18689122ed7596",
     "errors.csv": "a7d824dba87a659ee4c9021adb31f178434a2cc377e5db509af50bb4916f32c5",
     "failures.csv": "5a279ed38c7dc84e3d220c329f10a802bd273d54c0588f6e569d9e84ae53d33b",
-    "summary.csv": "37b239dfd1ef66a54cb7d303ed3f22c29456478c9dc13783c1a1dfbf74e5e122",
-    "synth_rep0.csv": "0b1bac957c2f83daaadd43fb989df6559411efeb122dd0e70dd204b55bd55c7e",
-    "synth_rep1.csv": "986cf8538709ed55a3203e3a891ea884087f23a6b531d6cf7ec9030542cc7054",
+    "summary.csv": "d126876bda5d6a2c0d526d0c1ad6a04bfa00c77b59b2d675ca142b4f02a33772",
+    "synth_rep0.csv": "6335a189cc9a6b45d59f255736843ce412c2c1e1768627f1182ac8bce31f8c2f",
+    "synth_rep1.csv": "ae4e65dae91c2fc96a8cfb588e7029fe91d0599659ab45c4854122c6e66f5745",
 }
 METADATA = {
     ("window", 1): "821bde9aa4e9316095cfc66397fe852897eaf9e2c2b3024ab5201780bb2fbc00",

@@ -560,11 +560,15 @@ class TestCli:
         (["synth-window", "--k", "13", "--rho", "0.1"], "need 1 <= k <= T, got k=13, T=12"),
         (["synth-cumulative", "--rho", "-1"], "rho must be positive for a noisy run"),
         (["synth-window", "--k", "3", "--rho", "1e-320", "--n-pad", "5"],
-         "rho 1e-320 is too small for a finite noise scale"),
+         "rho 1e-320 is too small for noise that fits in int64"),
+        (["synth-window", "--k", "2", "--rho", "1e-300"],
+         "rho 1e-300 is too small for noise that fits in int64"),
+        (["synth-window", "--k", "2", "--rho", "1", "--n-pad", str(2**61)],
+         f"n_pad {2**61} is too large for counts that fit in int64"),
         (["synth-cumulative", "--rho", "1e-300"],
          "rho 1e-300 is too small for counter noise that fits in int64"),
     ], ids=["window-rho-0", "k-past-T", "cumulative-rho-negative", "window-rho-tiny",
-            "cumulative-rho-tiny"])
+            "window-rho-1e-300", "window-n-pad-past-int64", "cumulative-rho-tiny"])
     def test_refused_config_exit_code(self, tmp_path, capsys, argv, message):
         rc = main([*argv, "--sim-kind", "bernoulli", "--n", "10", "--T", "12",
                    "--out", str(tmp_path / "run")])
@@ -583,12 +587,14 @@ class TestCli:
         (["--n", "100", "--c-frac", "2"], "c_frac must lie in [0, 1]"),
         (["--rho", "nan"], "rho must be positive for a noisy run"),
         (["--rho", "inf"], "rho must be finite for a noisy run"),
-        # (T - k + 1) / rho overflows, so neither padding nor noise scale is finite
-        (["--rho", "1e-320"], "rho 1e-320 is too small for a finite noise scale"),
+        # the per-bin variance (T - k + 1) / (2 rho) passes 2**62, so the noisy
+        # counts might not fit in int64
+        (["--rho", "1e-320"], "rho 1e-320 is too small for noise that fits in int64"),
+        (["--rho", "1e-30"], "rho 1e-30 is too small for noise that fits in int64"),
         (["--mode", "cumulative", "--rho", "1e-300"],
          "rho 1e-300 is too small for counter noise that fits in int64"),
     ], ids=["beta-past-1", "cumulative-n-negative", "c-frac-past-1", "rho-nan", "rho-inf",
-            "rho-tiny", "cumulative-rho-tiny"])
+            "rho-tiny", "rho-1e-30", "cumulative-rho-tiny"])
     def test_out_of_range_bound_exit_code(self, capsys, argv, message):
         rc = main(["bound", "--T", "12", "--k", "3", "--rho", "0.005", *argv])
         assert rc == 2

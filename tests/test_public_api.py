@@ -27,6 +27,7 @@ REMOVED = [
     ("counters", "tree_noise_sigma2"),
     ("harness", "_max_error"),
     ("dp", "_floor_sqrt_ratio"),
+    ("cumulative", "MAX_COUNTER_SIGMA2"),
 ]
 REMOVED_ATTRIBUTES = [
     ("model", "SuffixHistogram", "as_dict"),

@@ -175,9 +175,10 @@ class TestInitialization:
         bits = np.array([[0, 0], [0, 1], [1, 0], [1, 1], [1, 1]], dtype=np.uint8)
         ds = LongitudinalDataset.from_matrix(bits)
         cfg = WindowSynthConfig(T=2, k=2, noiseless=True)
-        released = WindowSynthesizer(cfg, np.random.default_rng(0)).init(ds)
+        synth = WindowSynthesizer(cfg, np.random.default_rng(0))
+        synth.init(ds)
         # rows sorted by suffix: 00, 01, 10, 11, 11
-        assert released.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 1]]
+        assert synth.store.matrix().tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 1]]
 
     def test_requires_enough_rounds(self):
         ds = LongitudinalDataset.from_matrix(np.zeros((4, 1), dtype=int))
@@ -231,7 +232,8 @@ class TestNoisyRunInvariants:
         ds = random_dataset(rng, 50, 7, p=0.3)
         cfg = WindowSynthConfig(T=7, k=2, rho=0.05)
         synth = WindowSynthesizer(cfg, rng)
-        snapshots = [synth.init(ds).copy()]
+        synth.init(ds)
+        snapshots = [synth.store.matrix().copy()]
         for t in range(3, 8):
             synth.step(ds, t)
             snapshots.append(synth.store.matrix().copy())
@@ -406,11 +408,16 @@ def _step_before_init():
      "beta_target must lie in (0, 1)"),
     (lambda: WindowSynthConfig(T=4, k=2, rho=1.0, n_pad=-1), ValueError,
      "n_pad must be non-negative"),
+    # n_pad * 2**k past 2**62 would wrap the int64 sum of the 2**k noisy counts
+    (lambda: WindowSynthConfig(T=4, k=2, rho=1.0, n_pad=2**61), ValueError,
+     f"n_pad {2**61} is too large for counts that fit in int64"),
+    (lambda: WindowSynthConfig(T=4, k=2, rho=1.0, n_pad=2**63), ValueError,
+     f"n_pad {2**63} is too large for counts that fit in int64"),
     (_step_before_init, RuntimeError, "call init() before step()"),
     (lambda: WindowSynthesizer(WindowSynthConfig(T=4, k=2, noiseless=True), 0).histogram(),
      RuntimeError, "synthesizer has not published any round yet"),
-], ids=["beta-target-zero", "beta-target-one", "negative-n-pad", "step-before-init",
-        "histogram-before-a-round"])
+], ids=["beta-target-zero", "beta-target-one", "negative-n-pad", "n-pad-past-int64",
+        "n-pad-past-2-63", "step-before-init", "histogram-before-a-round"])
 def test_window_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
