@@ -159,7 +159,7 @@ def _cmd_bound(args) -> int:
     if args.mode == "window" and args.k is None:
         raise InputError("bound --mode window needs --k")
     cfg = _engine_config(args, args.mode)
-    public, n = cfg.public(), args.n or 1
+    public, n = cfg.public(), 1 if args.n is None else args.n
     # the parameters this mode defines; the others are None in public()
     keys = ("mode", "T", "k", "rho", "beta_target", "n_pad", "schedule")
     out = {key: public[key] for key in keys if public[key] is not None}
@@ -168,7 +168,7 @@ def _cmd_bound(args) -> int:
         guarantee = cfg.guarantee(n, args.beta)
         if args.mode == "window":
             out["max_additive_error_bound"] = guarantee["error_bound"]
-            if args.n:
+            if args.n is not None:
                 out["max_relative_error_bound"] = cfg.relative_error_bound(n, args.beta, args.c_frac)
         else:
             out.update(n=n, alpha_star=guarantee["alpha_star"], beta_star=cfg.T * args.beta)

@@ -110,13 +110,13 @@ class CumulativeSynthConfig:
 class CumulativeSynthesizer:
     """Engine for one run over a population of n true and n synthetic rows.
 
-    Per round t: for each threshold b <= t, count the true new arrivals at
-    weight b, feed counter b with the noise of the register it writes,
-    monotonize, and extend exactly hat_S[b, t] - hat_S[b, t-1] synthetic rows
-    out of the weight-(b-1) pool with a 1. Pools are read at their round t-1
-    state, so the loop over b is order-independent on disjoint pools; the
-    row draws (:class:`~panelsynth.model.RowGroups`, keyed by synthetic
-    weight) follow in ascending weight order.
+    Per round t: for each threshold b <= t, feed counter b a zero and the
+    noise of the register it writes, add the true count S_t[b] to its
+    release, monotonize, and extend exactly hat_S[b, t] - hat_S[b, t-1]
+    synthetic rows out of the weight-(b-1) pool with a 1. Pools are read at
+    their round t-1 state, so the loop over b is order-independent on
+    disjoint pools; the row draws (:class:`~panelsynth.model.RowGroups`,
+    keyed by synthetic weight) follow in ascending weight order.
 
     The noise does not depend on the data: a run needs one draw per counter
     feed, T(T+1)/2 in all, at the variances ``sigma2`` (public: counter b's
@@ -124,8 +124,8 @@ class CumulativeSynthesizer:
     :class:`~panelsynth.dp.DiscreteGaussianBatch`). Round 1 draws them all
     in one batch, after its checks, from child 0 of ``spawn(2)`` (child 1
     selects rows) and in the order they are consumed: rounds t ascending,
-    and within a round thresholds b = 1..t. The draws not yet consumed are
-    secret state.
+    and within a round thresholds b = 1..t. The counters hold only noise;
+    their registers and the draws not yet consumed are secret state.
     """
 
     def __init__(self, n: int, cfg: CumulativeSynthConfig, rng=None):
@@ -155,10 +155,8 @@ class CumulativeSynthesizer:
         if dataset.n != self.n:
             raise ValueError("dataset population differs from synthesizer population")
 
-        # arrivals[b-1] = true rows reaching weight b at round t, S_t[b] - S_{t-1}[b]
-        arrivals = dataset.cumulative_counts(t)[1:].copy()
-        if t > 1:
-            arrivals[:-1] -= dataset.cumulative_counts(t - 1)[1:]
+        # counts[b-1] = S_t[b], the true rows at weight >= b after round t
+        counts = dataset.cumulative_counts(t)[1:].tolist()
         # Synthetic weights before round t lie in 0..t-1, and each weight pool
         # must hold the rows the bank released at that weight for round t-1.
         # This is checked before any counter is fed, so a failure leaves the
@@ -172,7 +170,9 @@ class CumulativeSynthesizer:
                                                    np.tril_indices(self.cfg.T)[1])
         noise = self._noise[t * (t - 1) // 2 : t * (t + 1) // 2].tolist()
         for b in range(1, t + 1):
-            s_tilde = self.counters[b].feed(int(arrivals[b - 1]), noise[b - 1])
+            # counter b is linear and S_{b-1}[b] = 0, so its release on the true
+            # arrivals is S_t[b] plus its release on a stream of zeros
+            s_tilde = counts[b - 1] + self.counters[b].feed(0, noise[b - 1])
             self.s_tilde[b, t] = s_tilde
             self.bank.monotonize(b, t, s_tilde)
         column = pools.new_column(hat[1 : t + 1, t] - hat[1 : t + 1, t - 1], self._select)

@@ -123,14 +123,6 @@ class BitSource:
             u = self.getbits(k)
         return u
 
-    def bernoulli(self, num: int, den: int) -> bool:
-        """Exact Bernoulli(num/den) trial."""
-        if num <= 0:
-            return False
-        if num >= den:
-            return True
-        return self.randbelow(den) < num
-
     def bernoulli_exp(self, num: int, den: int) -> bool:
         """Exact Bernoulli(exp(-num/den)) trial for num, den >= 0."""
         while num > den:
@@ -141,38 +133,20 @@ class BitSource:
 
     def _bernoulli_exp1(self, num: int, den: int) -> bool:
         # Bernoulli(exp(-gamma)) for gamma = num/den in [0, 1]: run the
-        # alternating-series counter and accept iff it stops at an odd count.
+        # alternating-series counter, whose step k passes with probability
+        # num / (den k), and accept iff it stops at an odd count.
         k = 1
-        while self.bernoulli(num, den * k):
+        while num > 0 and (num >= den * k or self.randbelow(den * k) < num):
             k += 1
         return (k & 1) == 1
-
-    def geometric_exp(self, num: int, den: int) -> int:
-        """Geometric sample with success rate 1 - exp(-num/den)."""
-        while True:
-            u = self.randbelow(den)
-            if self.bernoulli_exp(u, den):
-                break
-        v = 0
-        while self._bernoulli_exp1(1, 1):
-            v += 1
-        return (v * den + u) // num
-
-    def dlaplace(self, t: int) -> int:
-        """Discrete Laplace with scale t: Pr[x] proportional to exp(-|x|/t)."""
-        while True:
-            mag = self.geometric_exp(1, t)
-            sign = self.getbits(1)
-            if sign and mag == 0:
-                continue
-            return -mag if sign else mag
 
 
 class DiscreteGaussianSampler:
     """Exact sampler for the integer Gaussian with fixed variance parameter.
 
-    Candidates come from a discrete Laplace envelope with integer scale
-    floor(sigma) + 1 and are accepted by an exact Bernoulli(exp(.)) trial, so
+    :meth:`sample` runs Canonne-Kamath-Steinke rejection over
+    :class:`BitSource` bits: a discrete Laplace candidate of integer scale
+    t = floor(sigma) + 1 is accepted by an exact Bernoulli(exp(.)) trial, so
     the output pmf is proportional to exp(-x**2 / (2 sigma2)) with sigma2
     taken as an exact rational.
     """
@@ -199,10 +173,19 @@ class DiscreteGaussianSampler:
         gden = self._gden
         dent = self._den * t
         while True:
-            y = bits.dlaplace(t)
-            d = abs(y) * dent - num
+            # discrete Laplace candidate: U on [0, t) kept w.p. exp(-U/t),
+            # plus t per exp(-1) success in a row, and a sign; -0 is redrawn
+            x = bits.randbelow(t)
+            if not bits.bernoulli_exp(x, t):
+                continue
+            while bits.bernoulli_exp(1, 1):
+                x += t
+            negative = bits.getbits(1)
+            if negative and x == 0:
+                continue
+            d = x * dent - num
             if bits.bernoulli_exp(d * d, gden):
-                return y
+                return -x if negative else x
 
 
 # --------------------------------------------------------------------------

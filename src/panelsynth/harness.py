@@ -144,6 +144,8 @@ def ingest_csv(path, header: bool = False, threshold: float | None = None):
     Rows containing any missing cell are dropped. Returns
     (dataset, dropped_row_count).
     """
+    if threshold is not None and math.isnan(threshold):
+        raise InputError("threshold must be a number, got nan")
     blocks, dropped = _read_blocks(path, header)
     if not sum(map(len, blocks)):
         raise InputError(f"{path}: no usable rows")

@@ -57,6 +57,8 @@ def ingest_csv_reference(path, header: bool = False, threshold: float | None = N
     Same signature, values, dropped-row counts and error messages as
     harness.ingest_csv, which converts each chunk of records in one call.
     """
+    if threshold is not None and math.isnan(threshold):
+        raise InputError("threshold must be a number, got nan")
     rows: list[list[float]] = []
     sources: list[tuple[int, list[str]]] = []  # (line number, record) of each kept row
     dropped = 0

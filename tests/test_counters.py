@@ -249,6 +249,23 @@ class TestTreeCounterRegisterSupport:
             assert [counter.alpha_noisy[j] for j in clear] == [0] * len(clear)
 
 
+class TestTreeCounterLinearity:
+    # the cumulative engine feeds its counters zeros and adds the true count
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_release_is_prefix_sum_plus_noise_only_release(self, data):
+        horizon = data.draw(st.integers(1, 130), label="horizon")
+        stream = data.draw(st.lists(st.integers(0, 2**40), min_size=horizon, max_size=horizon),
+                           label="stream")
+        noise = data.draw(st.lists(st.integers(-2**40, 2**40), min_size=horizon,
+                                   max_size=horizon), label="noise")
+        fed, noise_only = TreeCounter(horizon), TreeCounter(horizon)
+        prefix = 0
+        for z, v in zip(stream, noise):
+            prefix += z
+            assert fed.feed(z, v) == prefix + noise_only.feed(0, v)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: CumulativeSynthConfig(T=0), "horizon must be at least 1"),
     (lambda: TreeCounter(0), "horizon must be at least 1"),

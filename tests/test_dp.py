@@ -136,9 +136,11 @@ class TestBitSource:
         assert (abs(counts - 4000) < 400).all()
 
     def test_bernoulli_edge_probabilities(self):
-        bits = BitSource(np.random.default_rng(0))
-        assert not bits.bernoulli(0, 5)
-        assert bits.bernoulli(5, 5)
+        # exp(0) = 1: the trial passes without reading a bit
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert BitSource(rng).bernoulli_exp(0, 5)
+        assert rng.bit_generator.state == state
 
 
 class TestDiscreteGaussian:

@@ -524,6 +524,19 @@ class TestCli:
         assert rc == 2
         assert f"error: {bad}: not valid utf-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--queries", '[{"kind":"cum","b":1,"t":1}]'],
+        ["synth-window", "--k", "1", "--T", "2", "--rho", "1"],
+        ["synth-cumulative", "--T", "2", "--rho", "1"],
+    ], ids=["eval", "synth-window", "synth-cumulative"])
+    def test_nan_threshold_exit_code(self, tmp_path, capsys, command):
+        data = tmp_path / "d.csv"
+        data.write_text("0.5,2\n3,0.1\n")
+        out = [] if command[0] == "eval" else ["--out", str(tmp_path / "run")]
+        rc = main([*command, "--data", str(data), "--threshold", "nan", *out])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: threshold must be a number, got nan\n"
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["eval", "--data", str(tmp_path / "nope.csv"),
                    "--queries", '[{"kind":"cum","b":1,"t":1}]'])
@@ -584,6 +597,8 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["--beta", "1.5"], "beta must lie in (0, 1)"),
         (["--mode", "cumulative", "--n", "-5"], "n must be at least 1"),
+        (["--mode", "cumulative", "--n", "0"], "n must be at least 1"),
+        (["--n", "0"], "n must be at least 1"),
         (["--n", "100", "--c-frac", "2"], "c_frac must lie in [0, 1]"),
         (["--rho", "nan"], "rho must be positive for a noisy run"),
         (["--rho", "inf"], "rho must be finite for a noisy run"),
@@ -593,8 +608,8 @@ class TestCli:
         (["--rho", "1e-30"], "rho 1e-30 is too small for noise that fits in int64"),
         (["--mode", "cumulative", "--rho", "1e-300"],
          "rho 1e-300 is too small for counter noise that fits in int64"),
-    ], ids=["beta-past-1", "cumulative-n-negative", "c-frac-past-1", "rho-nan", "rho-inf",
-            "rho-tiny", "rho-1e-30", "cumulative-rho-tiny"])
+    ], ids=["beta-past-1", "cumulative-n-negative", "cumulative-n-0", "window-n-0",
+            "c-frac-past-1", "rho-nan", "rho-inf", "rho-tiny", "rho-1e-30", "cumulative-rho-tiny"])
     def test_out_of_range_bound_exit_code(self, capsys, argv, message):
         rc = main(["bound", "--T", "12", "--k", "3", "--rho", "0.005", *argv])
         assert rc == 2
@@ -678,8 +693,14 @@ class TestCli:
     (lambda tmp: _window_manifest(tmp, workers=0).validate(), "workers must be at least 1"),
     (lambda tmp: run_experiment(_window_manifest(tmp, queries=[QuerySpec.window("1", 7)])),
      "query window:1 at t=7 is beyond the horizon T=6"),
+    # every v < nan is False, so a NaN threshold would code every cell 0
+    (lambda tmp: ingest_csv(tmp / "unread.csv", threshold=float("nan")),
+     "threshold must be a number, got nan"),
+    (lambda tmp: ingest_csv_reference(tmp / "unread.csv", threshold=float("nan")),
+     "threshold must be a number, got nan"),
 ], ids=["n-0", "T-0", "p-outside", "markov-outside", "two-sources", "no-source",
-        "simulation-without-n", "reps-0", "workers-0", "query-past-the-horizon"])
+        "simulation-without-n", "reps-0", "workers-0", "query-past-the-horizon",
+        "threshold-nan", "reference-threshold-nan"])
 def test_harness_refusals(tmp_path, call, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call(tmp_path)

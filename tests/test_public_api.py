@@ -35,6 +35,9 @@ REMOVED_ATTRIBUTES = [
     ("cumulative", "CumulativeSynthesizer", "released_count"),
     ("window", "WindowSynthesizer", "_noise"),
     ("window", "WindowSynthesizer", "sigma2"),
+    ("dp", "BitSource", "bernoulli"),
+    ("dp", "BitSource", "geometric_exp"),
+    ("dp", "BitSource", "dlaplace"),
 ]
 
 
