@@ -33,25 +33,24 @@ class TreeCounter:
         self.alpha = [0] * self.registers
         self.alpha_noisy = [0] * self.registers
 
-    def feed(self, z: int, noise: int) -> int:
+    def feed(self, z, noise):
         """Absorb the next stream value and return the noisy prefix sum.
 
-        ``noise`` is added to the one register this feed writes.
+        ``noise`` is added to the one register this feed writes. Scalars give a Python int;
+        arrays broadcast to one independent stream per element and give an int64 array.
         """
         if self.t >= self.horizon:
             raise ValueError(f"counter horizon {self.horizon} exhausted")
-        z = int(z)
-        if z < 0:
+        z = np.asarray(z, dtype=np.int64) if np.ndim(z) else int(z)
+        noise = np.asarray(noise, dtype=np.int64) if np.ndim(noise) else int(noise)
+        if z < 0 if isinstance(z, int) else (z < 0).any():
             raise ValueError("stream values must be non-negative")
         t = self.t + 1
         i = (t & -t).bit_length() - 1
-        acc = z
-        for j in range(i):
-            acc += self.alpha[j]
-            self.alpha[j] = 0
-            self.alpha_noisy[j] = 0
+        acc = z + sum(self.alpha[:i])
+        self.alpha[:i] = self.alpha_noisy[:i] = [0] * i
         self.alpha[i] = acc
-        self.alpha_noisy[i] = acc + int(noise)
+        self.alpha_noisy[i] = acc + noise
         self.t = t
         return sum(self.alpha_noisy)
 
@@ -61,8 +60,9 @@ class MonotoneBank:
 
     Row b = 0 is pinned to the public population size (no noise, no budget
     spent); column t = 0 and the region b > t are structurally zero. Cells
-    with 1 <= b <= t are filled round by round through :meth:`monotonize`,
-    which needs hat_S[b, t-1] and hat_S[b-1, t-1] already final.
+    with 1 <= b <= t are filled column by column: :meth:`clamp` takes a whole
+    round's noisy counts at once, as both bounds of a cell lie in column t-1,
+    and :meth:`monotonize` is the same clamp on one cell, with its checks.
     """
 
     def __init__(self, T: int, m: int):
@@ -74,36 +74,36 @@ class MonotoneBank:
         self.hat = np.zeros((T + 1, T + 1), dtype=np.int64)
         self.hat[0, :] = m
         # cell (b, t) is set iff t <= _last[b]: row 0 and the cells t < b from the start
-        self._last = [self.T] + list(range(self.T))
+        self._last = np.array([self.T, *range(self.T)])
 
     def value(self, b: int, t: int) -> int:
         if t > self._last[b]:
             raise RuntimeError(f"hat_S[b={b}, t={t}] has not been set yet")
         return int(self.hat[b, t])
 
+    def clamp(self, t: int, s_tilde, b: int = 1) -> np.ndarray:
+        """Clamp and store round t's counts of b, b+1, ... in [hat_S[b, t-1], hat_S[b-1, t-1]]."""
+        rows = slice(b, b + len(s_tilde))
+        lo, hi = self.hat[rows, t - 1], self.hat[b - 1 : rows.stop - 1, t - 1]
+        self.hat[rows, t] = np.minimum(np.maximum(s_tilde, lo), hi)
+        self._last[rows] = np.maximum(self._last[rows], t)
+        return self.hat[rows, t]
+
     def monotonize(self, b: int, t: int, s_tilde: int) -> int:
-        """Clamp a noisy count into [hat_S[b, t-1], hat_S[b-1, t-1]] and store it."""
+        """Clamp one noisy count into [hat_S[b, t-1], hat_S[b-1, t-1]] and store it."""
         if not (1 <= b <= t <= self.T):
             raise ValueError(f"monotonize needs 1 <= b <= t <= T, got b={b}, t={t}")
         if t - 1 > self._last[b] or t - 1 > self._last[b - 1]:
             raise RuntimeError(f"predecessors of (b={b}, t={t}) are not filled yet")
-        lo = int(self.hat[b, t - 1])
-        hi = int(self.hat[b - 1, t - 1])
-        value = min(max(int(s_tilde), lo), hi)
-        self.hat[b, t] = value
-        self._last[b] = max(self._last[b], t)
-        return value
+        return int(self.clamp(t, [s_tilde], b)[0])
 
     def validate(self) -> None:
         """Assert the two-sided monotonicity invariants on all filled cells."""
-        for t in range(1, self.T + 1):
-            for b in range(1, self.T + 1):
-                if t > self._last[b]:
-                    continue
-                lo = self.hat[b, t - 1]
-                hi = self.hat[b - 1, t - 1]
-                if not lo <= self.hat[b, t] <= hi:
-                    raise AssertionError(
-                        f"monotonicity violated at b={b}, t={t}: "
-                        f"{lo} <= {self.hat[b, t]} <= {hi} fails"
-                    )
+        cur, lo, hi = self.hat[1:, 1:], self.hat[1:, :-1], self.hat[:-1, :-1]
+        bad = (np.arange(1, self.T + 1) <= self._last[1:, None]) & ((cur < lo) | (cur > hi))
+        if bad.any():  # name the first violation in t-major order, as the cells are filled
+            t, b = np.argwhere(bad.T)[0] + 1
+            raise AssertionError(
+                f"monotonicity violated at b={b}, t={t}: "
+                f"{self.hat[b, t - 1]} <= {self.hat[b, t]} <= {self.hat[b - 1, t - 1]} fails"
+            )

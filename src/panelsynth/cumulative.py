@@ -107,25 +107,34 @@ class CumulativeSynthConfig:
         return CumulativeSynthesizer(n, self, rng)
 
 
+def _draw_noise_map(T: int, batch: DiscreteGaussianBatch, rng) -> np.ndarray:
+    """Draw a run's register noises; N[b, t] is counter b's release at round t >= b on zeros."""
+    t, b = np.tril_indices(T)  # draw k is counter b's at round t (both from 0), its feed t - b
+    draws = np.zeros((T, T), dtype=np.int64)  # [feed, b]; 0 past counter b's horizon T - b
+    draws[t - b, b] = batch.sample(rng, b)
+    counter = TreeCounter(T)  # runs the T counters as its streams
+    releases = np.array([counter.feed(0, row) for row in draws])
+    N = np.zeros((T + 1, T + 1), dtype=np.int64)
+    N[b + 1, t + 1] = releases[t - b, b]
+    return N
+
+
 class CumulativeSynthesizer:
     """Engine for one run over a population of n true and n synthetic rows.
 
-    Per round t: for each threshold b <= t, feed counter b a zero and the
-    noise of the register it writes, add the true count S_t[b] to its
-    release, monotonize, and extend exactly hat_S[b, t] - hat_S[b, t-1]
-    synthetic rows out of the weight-(b-1) pool with a 1. Pools are read at
-    their round t-1 state, so the loop over b is order-independent on
-    disjoint pools; the row draws (:class:`~panelsynth.model.RowGroups`,
-    keyed by synthetic weight) follow in ascending weight order.
+    Per round t, for all thresholds b = 1..t at once: counter b, linear with
+    S_{b-1}[b] = 0, releases s_tilde[b, t] = S_t[b] + N[b, t]; the bank clamps
+    it into hat_S[b, t]; and hat_S[b, t] - hat_S[b, t-1] rows of the round t-1
+    weight-(b-1) pool get a 1 (:class:`~panelsynth.model.RowGroups`, by weight).
 
     The noise does not depend on the data: a run needs one draw per counter
     feed, T(T+1)/2 in all, at the variances ``sigma2`` (public: counter b's
     config variance rounded up within a relative 2**-20 by
     :class:`~panelsynth.dp.DiscreteGaussianBatch`). Round 1 draws them all
     in one batch, after its checks, from child 0 of ``spawn(2)`` (child 1
-    selects rows) and in the order they are consumed: rounds t ascending,
-    and within a round thresholds b = 1..t. The counters hold only noise;
-    their registers and the draws not yet consumed are secret state.
+    selects rows) in the order the counters consume them, rounds t ascending
+    and within a round b = 1..t, then builds N with T counter feeds. The
+    columns of N not yet released are secret state.
     """
 
     def __init__(self, n: int, cfg: CumulativeSynthConfig, rng=None):
@@ -135,8 +144,7 @@ class CumulativeSynthesizer:
         self._noise_rng, self._select = np.random.default_rng(rng).spawn(2)
         self._noise_batch = DiscreteGaussianBatch(cfg.counter_sigma2())
         self.sigma2 = self._noise_batch.sigma2
-        self._noise: np.ndarray | None = None
-        self.counters = {b: TreeCounter(cfg.T - b + 1) for b in range(1, cfg.T + 1)}
+        self._noise_map: np.ndarray | None = None
         self.bank = MonotoneBank(cfg.T, m=self.n)
         # smallest unsigned dtype holding T: weights of at most 16 bits take
         # numpy's radix argsort, and the per-round `+= column` adds bytes
@@ -155,26 +163,19 @@ class CumulativeSynthesizer:
         if dataset.n != self.n:
             raise ValueError("dataset population differs from synthesizer population")
 
-        # counts[b-1] = S_t[b], the true rows at weight >= b after round t
-        counts = dataset.cumulative_counts(t)[1:].tolist()
         # Synthetic weights before round t lie in 0..t-1, and each weight pool
         # must hold the rows the bank released at that weight for round t-1.
-        # This is checked before any counter is fed, so a failure leaves the
+        # This is checked before any noise is read, so a failure leaves the
         # engine at round t-1; given it, the bank's clamp keeps every draw
         # z_hat within 0..pool.size.
         hat = self.bank.hat
         pools = RowGroups(self._synth_weights, -np.diff(hat[: t + 1, t - 1]),
                           f"round {t}: weight pool")
-        if self._noise is None:
-            self._noise = self._noise_batch.sample(self._noise_rng,
-                                                   np.tril_indices(self.cfg.T)[1])
-        noise = self._noise[t * (t - 1) // 2 : t * (t + 1) // 2].tolist()
-        for b in range(1, t + 1):
-            # counter b is linear and S_{b-1}[b] = 0, so its release on the true
-            # arrivals is S_t[b] plus its release on a stream of zeros
-            s_tilde = counts[b - 1] + self.counters[b].feed(0, noise[b - 1])
-            self.s_tilde[b, t] = s_tilde
-            self.bank.monotonize(b, t, s_tilde)
+        if self._noise_map is None:
+            self._noise_map = _draw_noise_map(self.cfg.T, self._noise_batch, self._noise_rng)
+        s_tilde = dataset.cumulative_counts(t)[1:] + self._noise_map[1 : t + 1, t]
+        self.s_tilde[1 : t + 1, t] = s_tilde
+        self.bank.clamp(t, s_tilde)
         column = pools.new_column(hat[1 : t + 1, t] - hat[1 : t + 1, t - 1], self._select)
         self.store.append_column(column)
         self._synth_weights += column

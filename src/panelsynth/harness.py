@@ -345,9 +345,6 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
     """
     manifest.validate()
     started = time.perf_counter()
-    out_dir = Path(manifest.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     root = np.random.SeedSequence(manifest.seed)
     seeds = root.spawn(manifest.reps + 1)
     dataset, dropped, source = _materialize_dataset(manifest, seeds[0])
@@ -370,6 +367,8 @@ def run_experiment(manifest: RunManifest) -> ExperimentResult:
     guarantee = cfg.guarantee(dataset.n, manifest.beta)
     error_bound = guarantee["error_bound"]
     truth = [eval_query(dataset, q, force=True) for q in queries]
+    out_dir = Path(manifest.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     tasks = [(rep, seeds[rep + 1]) for rep in range(manifest.reps)]
     workers = min(manifest.workers, manifest.reps)  # a fork pool starts every worker at once

@@ -104,7 +104,9 @@ def test_each_engine_samples_with_its_config_variance(noiseless):
     # the cumulative engine samples each counter's variance rounded up within 2**-20
     cumulative = CumulativeSynthConfig(T=6, rho=0.3, noiseless=noiseless)
     synth = CumulativeSynthesizer(20, cumulative, 1)
-    assert sorted(synth.counters) == [1, 2, 3, 4, 5, 6]
+    synth.step(random_dataset(np.random.default_rng(0), 20, 6), 1)
+    # round 1 builds one noise row per threshold b = 1..6 beside the unused row 0
+    assert synth._noise_map.shape == (7, 7) and not synth._noise_map[0].any()
     assert len(synth.sigma2) == 6
     for sampled, exact in zip(synth.sigma2, cumulative.counter_sigma2()):
         assert exact <= sampled <= exact * (1 + Fraction(1, 2**20))

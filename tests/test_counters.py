@@ -84,8 +84,9 @@ class TestTreeCounterExact:
             counter.feed(0, 0)
 
     def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            TreeCounter(4).feed(-1, 0)
+        for z in (-1, np.array([0, -1])):
+            with pytest.raises(ValueError):
+                TreeCounter(4).feed(z, 0)
 
     def test_noisy_outputs_are_integers(self):
         # the batch hands out numpy int64 noise; the releases are Python ints
@@ -264,6 +265,27 @@ class TestTreeCounterLinearity:
         for z, v in zip(stream, noise):
             prefix += z
             assert fed.feed(z, v) == prefix + noise_only.feed(0, v)
+
+
+class TestTreeCounterStreams:
+    # the cumulative engine runs all its threshold counters as one counter's streams
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_vector_feed_matches_scalar_counters(self, data):
+        horizon = data.draw(st.integers(1, 70), label="horizon")
+        streams = data.draw(st.integers(1, 6), label="streams")
+        rows = st.lists(st.tuples(st.integers(0, 2**40), st.integers(-2**40, 2**40)),
+                        min_size=streams, max_size=streams)
+        feeds = data.draw(st.lists(rows, min_size=horizon, max_size=horizon), label="feeds")
+        vector = TreeCounter(horizon)
+        scalars = [TreeCounter(horizon) for _ in range(streams)]
+        for row in feeds:
+            z, noise = np.array(row, dtype=np.int64).T
+            out = vector.feed(z, noise)
+            assert out.tolist() == [c.feed(a, v) for c, (a, v) in zip(scalars, row)]
+            for j in range(vector.registers):
+                assert np.broadcast_to(vector.alpha_noisy[j], streams).tolist() == [
+                    c.alpha_noisy[j] for c in scalars]
 
 
 @pytest.mark.parametrize("call, message", [

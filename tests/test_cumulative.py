@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import cumulative_reference, random_dataset
 from panelsynth.cli import main
+from panelsynth.counters import MonotoneBank, TreeCounter
 from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
 from panelsynth.dp import DiscreteGaussianBatch
 from panelsynth.model import LongitudinalDataset, true_cumulative_counts
@@ -85,7 +87,8 @@ class TestInitialState:
     def test_bank_seeded_with_population(self):
         synth = CumulativeSynthesizer(5, CumulativeSynthConfig(T=3, noiseless=True),
                                       np.random.default_rng(0))
-        assert len(synth.counters) == 3
+        # one counter variance per threshold, and no noise drawn before round 1
+        assert len(synth.sigma2) == 3 and synth._noise_map is None
         assert all(synth.bank.value(0, t) == 5 for t in range(4))
         assert all(synth.bank.value(b, 0) == 0 for b in range(1, 4))
         assert synth._synth_weights.sum() == 0
@@ -93,7 +96,11 @@ class TestInitialState:
     def test_counter_horizons_shrink_with_threshold(self):
         synth = CumulativeSynthesizer(5, CumulativeSynthConfig(T=8, rho=0.4),
                                       np.random.default_rng(0))
-        assert [synth.counters[b].horizon for b in range(1, 9)] == [8, 7, 6, 5, 4, 3, 2, 1]
+        synth.step(random_dataset(np.random.default_rng(1), 5, 8), 1)
+        N = synth._noise_map
+        # counter b releases from round b on: rounds b..T, T - b + 1 of them
+        assert all(not N[b, :b].any() for b in range(1, 9))
+        assert [N[b, b:].size for b in range(1, 9)] == [8, 7, 6, 5, 4, 3, 2, 1]
 
     def test_schedule_charged_to_accountant(self):
         cfg = CumulativeSynthConfig(T=6, rho=0.24)
@@ -153,6 +160,17 @@ class TestNoisyRunInvariants:
         for snap in snapshots:
             assert (final[:, : snap.shape[1]] == snap).all()
 
+    def test_validate_names_the_first_violated_cell(self):
+        # two corrupted cells; the scan is t-major, so (4, 5) is named before (2, 6)
+        _, synth, _ = self._run(4)
+        hat = synth.bank.hat
+        hat[2, 6] = hat[1, 5] + 1
+        hat[4, 5] = hat[4, 4] - 1
+        message = (f"monotonicity violated at b=4, t=5: "
+                   f"{hat[4, 4]} <= {hat[4, 5]} <= {hat[3, 4]} fails")
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            synth.bank.validate()
+
     def test_reproducible_for_seed(self):
         _, _, a = self._run(77)
         _, _, b = self._run(77)
@@ -188,10 +206,10 @@ class TestReleaseInvariant:
         synth._synth_weights[:] = 1
         with pytest.raises(RuntimeError, match="pool"):
             synth.step(ds, 2)
-        # refused before any counter was fed: the engine is still at round 1
+        # refused before any noise was read: the engine is still at round 1
         assert synth.store.t_max == 1
         assert synth.t == 1
-        assert synth.counters[1].t == 1
+        assert not synth.s_tilde[:, 2].any()
         with pytest.raises(RuntimeError, match="not been set"):
             synth.bank.value(1, 2)
 
@@ -234,3 +252,37 @@ class TestCumulativeReference:
         assert synth.s_tilde.tolist() == s_tilde
         assert synth.bank.hat.tolist() == hat
         assert next(noise, None) is None  # every tapped draw was consumed
+
+
+class TestNoiseMap:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from([0.005, 0.05, 1.0, 50.0]),
+           st.integers(0, 2**32 - 1))
+    def test_rows_are_scalar_counters_fed_zeros(self, T, rho, seed):
+        # N[b, t] is what a scalar counter of horizon T - b + 1 releases when fed zeros
+        # and counter b's draws, taken in the order the engine consumes them
+        ds = random_dataset(np.random.default_rng(seed), 4, T)
+        synth, noise = _tapped_run(CumulativeSynthConfig(T=T, rho=rho), ds, seed)
+        noise = iter(noise)
+        counters = {b: TreeCounter(T - b + 1) for b in range(1, T + 1)}
+        want = np.zeros((T + 1, T + 1), dtype=np.int64)
+        for t in range(1, T + 1):
+            for b in range(1, t + 1):
+                want[b, t] = counters[b].feed(0, next(noise))
+        assert next(noise, None) is None
+        assert np.array_equal(synth._noise_map, want)
+
+
+def test_a_run_feeds_one_counter_T_times_and_never_monotonizes(monkeypatch):
+    calls = {"feed": 0, "monotonize": 0}
+    for cls, name in ((TreeCounter, "feed"), (MonotoneBank, "monotonize")):
+        def counted(*args, _orig=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(cls, name, counted)
+    T = 30
+    ds = random_dataset(np.random.default_rng(5), 80, T, p=0.3)
+    synth = CumulativeSynthesizer(80, CumulativeSynthConfig(T=T, rho=0.5), np.random.default_rng(6))
+    synth.run(ds)
+    synth.bank.validate()
+    assert calls == {"feed": T, "monotonize": 0}

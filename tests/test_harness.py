@@ -589,6 +589,24 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["synth-window", "--k", "1", "--rho", "1", "--threshold", "nan"],
+         "threshold must be a number, got nan"),
+        (["synth-cumulative", "--rho", "1", "--queries", '[{"kind":"cum","b":1,"t":13}]'],
+         "query cum:1 at t=13 is beyond the horizon T=12"),
+        (["synth-window", "--k", "2", "--rho", "1",
+          "--queries", '[{"kind":"window","s":"111","t":4}]'],
+         "queries not preserved by this synthesizer: window:111 "
+         "(pass force_window to evaluate them anyway, tagged as unsupported)"),
+    ], ids=["threshold-nan", "query-past-T", "unsupported-query"])
+    def test_refused_sweep_leaves_no_output(self, tmp_path, capsys, argv, message):
+        data = tmp_path / "d.csv"
+        data.write_text("1,0,1,1,0,0,1,0,1,1,0,1\n" * 4)
+        rc = main([*argv, "--data", str(data), "--T", "12", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_refused_bound_config_exit_code(self, capsys):
         rc = main(["bound", "--mode", "window", "--T", "12", "--k", "3", "--rho", "0"])
         assert rc == 2
