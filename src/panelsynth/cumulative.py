@@ -192,6 +192,8 @@ class CumulativeSynthesizer:
 
     def max_error(self, dataset: LongitudinalDataset) -> int:
         """Worst |hat_S[b, t] - S_t[b]| over every threshold of every released round 1..t."""
+        if self.t == 0:
+            raise RuntimeError("synthesizer has not published any round yet")
         return max(int(np.abs(self.bank.hat[: t + 1, t] - dataset.cumulative_counts(t)).max())
                    for t in range(1, self.t + 1))
 

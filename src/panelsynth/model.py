@@ -233,8 +233,10 @@ _PERMUTATION_MAX_POOL = 10_000
 def mark_random_subset(column: np.ndarray, pool: np.ndarray, count: int, rng) -> None:
     """Set ``column`` to 1 on a uniformly random ``count``-subset of the rows ``pool``.
 
-    ``column`` must be 0 on ``pool``; no entry outside it changes. A pool of at
-    most 10,000 rows takes the first ``count`` entries of
+    ``column`` must be 0 on ``pool``; no entry outside it changes. A count of 0
+    or of the whole pool has one outcome, so it reads no randomness: nothing
+    or every row of ``pool`` is set. Any other count draws. A pool of at most
+    10,000 rows takes the first ``count`` entries of
     ``rng.permutation(pool.size)``, an O(size) draw. A larger pool draws only
     the smaller side, ``min(count, size - count)`` rows, with
     ``rng.choice(..., replace=False, shuffle=False)``; when that side is the
@@ -245,7 +247,11 @@ def mark_random_subset(column: np.ndarray, pool: np.ndarray, count: int, rng) ->
     size = pool.size
     if not 0 <= count <= size:
         raise ValueError(f"cannot mark {count} rows of a pool of {size}")
-    if size <= _PERMUTATION_MAX_POOL:
+    if count == size:
+        column[pool] = 1
+    elif count == 0:
+        return
+    elif size <= _PERMUTATION_MAX_POOL:
         column[pool[rng.permutation(size)[:count]]] = 1
     elif 2 * count <= size:
         column[pool[rng.choice(size, count, replace=False, shuffle=False)]] = 1
@@ -266,10 +272,12 @@ class RowGroups:
 
     Pool order: the rows are grouped once, by one stable argsort of the key;
     keys of at most 16 bits take numpy's O(rows) radix path. Within a group
-    the rows are taken in ascending row index, and the groups draw one
-    :func:`mark_random_subset` each, in key order, indexing into that order,
-    so a seed fixes every published column. A draw costs O(group) for
-    groups of at most 10,000 rows and O(min(ones, group - ones)) above.
+    the rows are taken in ascending row index, and the groups call
+    :func:`mark_random_subset` once each, in key order, indexing into that
+    order, so a seed fixes every published column. A group marked nowhere or
+    everywhere reads no randomness; only a group with 0 < ones < size draws,
+    at O(group) for groups of at most 10,000 rows and
+    O(min(ones, group - ones)) above.
     """
 
     def __init__(self, keys: np.ndarray, sizes: np.ndarray, what: str):
@@ -292,8 +300,8 @@ class RowGroups:
     def new_column(self, ones, rng) -> np.ndarray:
         """A new bit column with ``ones[z]`` uniformly random 1s in each group z.
 
-        An empty group asked for no 1s is skipped: its permutation of 0 rows
-        would read no randomness either.
+        An empty group asked for no 1s is skipped; it would read no
+        randomness either.
         """
         column = np.zeros(self._order.size, dtype=np.uint8)
         ones = np.asarray(ones)

@@ -275,6 +275,8 @@ class WindowSynthesizer:
 
     def max_error(self, dataset: LongitudinalDataset) -> int:
         """Worst |p - (C + n_pad)| over every bin of every released round k..t."""
+        if not self.released:
+            raise RuntimeError("synthesizer has not published any round yet")
         k = self.cfg.k
         return max(int(np.abs(p - (true_suffix_histogram(dataset, k, t).counts + self.n_pad)).max())
                    for t, p in enumerate(self.released, start=k))

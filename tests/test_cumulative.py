@@ -12,6 +12,7 @@ from panelsynth.cli import main
 from panelsynth.counters import MonotoneBank, TreeCounter
 from panelsynth.cumulative import CumulativeSynthConfig, CumulativeSynthesizer
 from panelsynth.dp import DiscreteGaussianBatch
+from panelsynth.harness import simulate_dataset
 from panelsynth.model import LongitudinalDataset, true_cumulative_counts
 
 
@@ -189,6 +190,13 @@ class TestNoisyRunInvariants:
         with pytest.raises(ValueError, match="at least one ingested round"):
             synth.run(LongitudinalDataset(3))
 
+    def test_max_error_before_a_round_is_refused(self):
+        synth = CumulativeSynthesizer(3, CumulativeSynthConfig(T=4, noiseless=True),
+                                      np.random.default_rng(0))
+        ds = random_dataset(np.random.default_rng(1), 3, 4)
+        with pytest.raises(RuntimeError, match="^synthesizer has not published any round yet$"):
+            synth.max_error(ds)
+
     def test_metadata(self):
         _, synth, _ = self._run(1)
         meta = synth.metadata()
@@ -271,6 +279,26 @@ class TestNoiseMap:
                 want[b, t] = counters[b].feed(0, next(noise))
         assert next(noise, None) is None
         assert np.array_equal(synth._noise_map, want)
+
+
+def test_selection_is_read_only_in_rounds_with_a_choice():
+    # a weight pool asked for none or all of its rows has one outcome and
+    # reads no randomness, so a round whose pools are all like that leaves the
+    # selection generator as it was, and any other round reads it
+    n, T = 200, 30
+    ds = simulate_dataset("markov", n, T, np.random.default_rng(3))
+    synth = CumulativeSynthesizer(n, CumulativeSynthConfig(T=T, rho=0.05), np.random.default_rng(3))
+    read, choice = [], []
+    for t in range(1, T + 1):
+        before = synth._select.bit_generator.state
+        synth.step(ds, t)
+        read.append(synth._select.bit_generator.state != before)
+        hat = synth.bank.hat
+        sizes = hat[:t, t - 1] - hat[1 : t + 1, t - 1]
+        ones = hat[1 : t + 1, t] - hat[1 : t + 1, t - 1]
+        choice.append(bool(((ones > 0) & (ones < sizes)).any()))
+    assert read == choice
+    assert 0 < sum(choice) < T  # the run has rounds of both kinds
 
 
 def test_a_run_feeds_one_counter_T_times_and_never_monotonizes(monkeypatch):

@@ -3,10 +3,13 @@
 Each digest is the SHA-256 of every published column, in round order. The
 selection RNG's ``mark_random_subset`` draws index into each group's rows
 taken in ascending row index, so any regrouping of rows inside ``step`` must
-keep these digests exactly. Groups of at most 10,000 rows draw a whole-pool
-permutation, O(group); larger groups draw only the smaller of the marked
-rows and their complement, O(picked). The large-pool cases assert that they
-reach both sides of that draw.
+keep these digests exactly. A group marked nowhere or everywhere reads no
+randomness, so only groups with 0 < ones < size consume the selection
+stream. Such groups of at most 10,000 rows draw a whole-pool permutation,
+O(group); larger ones draw only the smaller of the marked rows and their
+complement, O(picked). The large-pool cases assert that they reach both
+sides of that draw. The cumulative release pins hash ``s_tilde`` and the
+bank apart from the rows, so they hold whichever rows realize the counts.
 """
 
 import hashlib
@@ -103,9 +106,9 @@ def test_window_padding_failure_is_pinned():
     "T, n, rho, seed, digest",
     [
         (12, 3000, 0.05, 112,
-         "10bce9eef5e3f1a78a4a5f2e02245af61966c2f8db39301fa71354ddb1f101ca"),
+         "26b6a4a4255c36524f0816d9d75184d05fb446f7c619bbc5d663d99700bf358d"),
         (40, 1000, 0.5, 140,
-         "955801a708a09871b0c0fbbafa848b29b85bac636aa5ff656dfc165b1ebd8bdf"),
+         "1712352775b19ce308769f145bfd3c9bb4a889b0c2dc9f3f580280defafea1f5"),
     ],
     ids=["T12", "T40"],
 )
@@ -115,6 +118,30 @@ def test_cumulative_columns_are_pinned(T, n, rho, seed, digest):
     store = synth.run(_panel(seed, n, T))
     assert store.t_max == T
     assert _digest(store) == digest
+
+
+@pytest.mark.parametrize(
+    "T, n, rho, seed, panel, s_tilde, hat",
+    [
+        (12, 3000, 0.05, 112, _panel,
+         "4cba8dd77d8eeb983822a8b60d35c54d4efad8bb97d45d51b9d87eb2cd0d8157",
+         "0385afcbbceb0e5350d1f65a31484e80dade209549a0bb60e9fa1e4d815338b9"),
+        (40, 1000, 0.5, 140, _panel,
+         "ffc03f184ee6d62e6279b9abeef89b7bb894b2140a7d3434ff362b5936a2fae2",
+         "e75f6654f2ae3ea2762dac76e5b443c31baededc026298bf919cf89af0192257"),
+        (8, 30_000, 1.0, 131, _sticky_panel,
+         "1896de1ac5c13a7d8c7a305a5fdd6fe3bcc66e8c5dd5e0f270b700282c8fc7c3",
+         "0f3bd1302ae99f26306a8472d7346aa6c1890b45a769fa1153e31c490bf08cc5"),
+    ],
+    ids=["T12", "T40", "large-pools"],
+)
+def test_cumulative_release_is_pinned(T, n, rho, seed, panel, s_tilde, hat):
+    # the released counts of the panel digests' runs: they do not depend on
+    # which rows realize them, so a change to row selection alone keeps them
+    synth = CumulativeSynthesizer(n, CumulativeSynthConfig(T=T, rho=rho), np.random.default_rng(seed))
+    synth.run(panel(seed, n, T))
+    assert hashlib.sha256(synth.s_tilde.tobytes()).hexdigest() == s_tilde
+    assert hashlib.sha256(synth.bank.hat.tobytes()).hexdigest() == hat
 
 
 def test_cumulative_large_pools_are_pinned():

@@ -42,8 +42,8 @@ CUMULATIVE_CSVS = {
     "errors.csv": "a7d824dba87a659ee4c9021adb31f178434a2cc377e5db509af50bb4916f32c5",
     "failures.csv": "5a279ed38c7dc84e3d220c329f10a802bd273d54c0588f6e569d9e84ae53d33b",
     "summary.csv": "d126876bda5d6a2c0d526d0c1ad6a04bfa00c77b59b2d675ca142b4f02a33772",
-    "synth_rep0.csv": "6335a189cc9a6b45d59f255736843ce412c2c1e1768627f1182ac8bce31f8c2f",
-    "synth_rep1.csv": "ae4e65dae91c2fc96a8cfb588e7029fe91d0599659ab45c4854122c6e66f5745",
+    "synth_rep0.csv": "a1d76ab2bf9471610fde21d26a84440a1b97fbe69fdd1b1c8fdb814b796eea3a",
+    "synth_rep1.csv": "fab3b8dfdf8653ae2da35eb638be7a57197ecdf0e354538649b1bf81144b7909",
 }
 METADATA = {
     ("window", 1): "821bde9aa4e9316095cfc66397fe852897eaf9e2c2b3024ab5201780bb2fbc00",

@@ -315,7 +315,8 @@ class TestBytePlanes:
 
 
 class TestMarkRandomSubset:
-    """Pools up to 10,000 rows keep the permutation draw; larger ones draw the smaller side."""
+    """Counts of 0 and of the whole pool draw nothing. Otherwise pools up to
+    10,000 rows keep the permutation draw; larger ones draw the smaller side."""
 
     @pytest.mark.parametrize("size", [1, 777, 10_000, 10_001, 25_000])
     @pytest.mark.parametrize("frac", [0.0, 0.3, 0.7, 1.0])
@@ -333,9 +334,7 @@ class TestMarkRandomSubset:
         assert column[pool].max(initial=0) <= 1
         np.testing.assert_array_equal(column[outside], before[outside])
 
-    @pytest.mark.parametrize(
-        "size, count", [(1, 0), (1, 1), (500, 123), (10_000, 0), (10_000, 6_000), (10_000, 10_000)]
-    )
+    @pytest.mark.parametrize("size, count", [(500, 123), (10_000, 6_000)])
     def test_small_pool_is_the_permutation_draw(self, size, count):
         pool = np.random.default_rng(5).permutation(size + 100)[:size]
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
@@ -345,6 +344,23 @@ class TestMarkRandomSubset:
         expected[pool[ref.permutation(size)[:count]]] = 1
         np.testing.assert_array_equal(column, expected)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("size, count", [(size, count) for size in (1, 500, 10_000, 20_000)
+                                             for count in (0, size)])
+    def test_degenerate_count_reads_no_randomness(self, size, count):
+        # marking none or all of a pool has one outcome, so the generator is not read
+        rng = np.random.default_rng(size)
+        n = size + 100
+        pool = rng.permutation(n)[:size]
+        outside = np.setdiff1d(np.arange(n), pool)
+        column = np.zeros(n, dtype=np.uint8)
+        column[outside] = rng.integers(0, 2, outside.size)
+        expected = column.copy()
+        expected[pool] = 1 if count else 0
+        state = rng.bit_generator.state
+        mark_random_subset(column, pool, count, rng)
+        np.testing.assert_array_equal(column, expected)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("size", [100, 20_000])
     def test_rejects_count_outside_pool(self, size):
@@ -393,6 +409,30 @@ class TestRowGroups:
             mark_random_subset(expected, order[stop - size:stop], count, ref)
         np.testing.assert_array_equal(column, expected)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_inclusion_is_uniform_with_full_empty_and_partial_groups(self):
+        # groups asked for all, none or some of their rows: the first two kinds
+        # are fixed, and each row of a partial group is in with chance ones/size
+        sizes = np.array([40, 0, 300, 25, 700, 60, 1_000])
+        ones = np.array([40, 0, 90, 0, 350, 60, 800])
+        keys = np.random.default_rng(3).permutation(np.repeat(np.arange(sizes.size), sizes))
+        groups = RowGroups(keys.astype(np.uint8), sizes, "pool")
+        rng, draws = np.random.default_rng(4), 3_000
+        hits = np.zeros(keys.size, dtype=np.int64)
+        for _ in range(draws):
+            column = groups.new_column(ones, rng)
+            np.testing.assert_array_equal(np.bincount(keys, column, sizes.size), ones)
+            hits += column
+        p = (ones / np.maximum(sizes, 1))[keys]
+        fixed = (p == 0) | (p == 1)
+        np.testing.assert_array_equal(hits[fixed], draws * p[fixed])
+        p = p[~fixed]
+        z = (hits[~fixed] - draws * p) / np.sqrt(draws * p * (1 - p))
+        # each partial row's hits are binomial: chi-square on one degree of
+        # freedom per row, within six standard deviations, no row past 5.5 sigma
+        df = z.size
+        assert abs(float((z**2).sum()) - df) < 6 * math.sqrt(2 * df)
+        assert float(np.abs(z).max()) < 5.5
 
     def test_empty_group_asked_for_ones_is_refused(self):
         groups = RowGroups(np.array([0, 0, 2], dtype=np.uint8), np.array([2, 0, 1]), "pool")

@@ -416,8 +416,12 @@ def _step_before_init():
     (_step_before_init, RuntimeError, "call init() before step()"),
     (lambda: WindowSynthesizer(WindowSynthConfig(T=4, k=2, noiseless=True), 0).histogram(),
      RuntimeError, "synthesizer has not published any round yet"),
+    (lambda: WindowSynthesizer(WindowSynthConfig(T=4, k=2, noiseless=True), 0).max_error(
+        random_dataset(np.random.default_rng(0), 5, 4)),
+     RuntimeError, "synthesizer has not published any round yet"),
 ], ids=["beta-target-zero", "beta-target-one", "negative-n-pad", "n-pad-past-int64",
-        "n-pad-past-2-63", "step-before-init", "histogram-before-a-round"])
+        "n-pad-past-2-63", "step-before-init", "histogram-before-a-round",
+        "max-error-before-a-round"])
 def test_window_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
