@@ -14,7 +14,14 @@ import numpy as np
 
 from . import __version__
 from .cumulative import CumulativeSynthConfig
-from .harness import InputError, RunManifest, ingest_csv, run_experiment, simulate_dataset
+from .harness import (
+    InputError,
+    RunManifest,
+    check_seed,
+    ingest_csv,
+    run_experiment,
+    simulate_dataset,
+)
 from .queries import eval_query, parse_queries
 from .window import WindowSynthConfig
 
@@ -125,6 +132,7 @@ def _cmd_synth(args, mode: str) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     dataset = simulate_dataset(args.sim_kind or "bernoulli", args.n, args.T, rng,
                                **_sim_params(args))
@@ -240,7 +248,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as exc:  # unusable input, or a path missing or of the wrong kind
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

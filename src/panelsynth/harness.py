@@ -41,6 +41,7 @@ __all__ = [
     "RepOutcome",
     "RunManifest",
     "SCHEMA_VERSION",
+    "check_seed",
     "ingest_csv",
     "run_experiment",
     "simulate_dataset",
@@ -53,6 +54,12 @@ _MISSING_TOKENS = {"", "na", "nan", "null", "none", "."}
 
 class InputError(ValueError):
     """Unusable input data or manifest; the CLI maps this to exit code 2."""
+
+
+def check_seed(seed: int) -> None:
+    """InputError unless ``seed`` is usable as a numpy seed, which must not be negative."""
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
 
 
 _CHUNK_RECORDS = 2048  # records converted per bulk call; no cell string outlives its chunk
@@ -91,21 +98,21 @@ def _chunk_values(path, linenos, records, width: int) -> np.ndarray:
                 raise InputError(f"{path}: line {lineno}: non-numeric cell {cell!r}") from None
 
 
-def _kept_records(handle, header: bool):
-    """Numbered records, header and blank records skipped; numbers count records from 1."""
-    numbered = enumerate(csv.reader(handle), start=1)
-    return (
-        (lineno, record) for lineno, record in numbered
-        if not (header and lineno == 1) and record and (len(record) > 1 or record[0].strip())
-    )
+def _read_blocks(path, header: bool, threshold: float | None):
+    """The kept rows as uint8 blocks, one per chunk, and the dropped-row count.
 
-
-def _read_blocks(path, header: bool):
-    """The kept rows as float64 blocks, one per chunk, and the dropped-row count."""
-    blocks, dropped, width = [], 0, None
+    With a threshold a cell codes as 1 when it is below it. Without one, the
+    first kept cell that is not 0/1 raises an InputError once the whole file
+    has parsed, so a later malformed record is reported first.
+    """
+    blocks, dropped, width, non_binary = [], 0, None, None
     try:
         with open(path, newline="") as handle:
-            kept = _kept_records(handle, header)
+            numbered = enumerate(csv.reader(handle), start=1)  # records count from 1
+            kept = (  # header and blank records skipped
+                (lineno, record) for lineno, record in numbered if not (header and lineno == 1)
+                and record and (len(record) > 1 or record[0].strip())
+            )
             while chunk := list(islice(kept, _CHUNK_RECORDS)):
                 linenos, records = zip(*chunk)
                 width = width or len(records[0])
@@ -115,25 +122,26 @@ def _read_blocks(path, header: bool):
                     row, col = divmod(i, width)
                     missing[row] |= records[row][col].strip().lower() in _MISSING_TOKENS
                 dropped += int(missing.sum())
-                blocks.append(flat.reshape(-1, width)[~missing])
+                values = flat.reshape(-1, width)
+                if threshold is not None:
+                    blocks.append((values[~missing] < threshold).view(np.uint8))
+                elif non_binary is None:
+                    bad = (values != 0) & (values != 1)
+                    bad[missing] = False
+                    if bad.any():  # no cast: NaN or inf would warn on the way to uint8
+                        row, col = divmod(int(np.argmax(bad)), width)
+                        non_binary = linenos[row], records[row][col]
+                    else:
+                        blocks.append(values[~missing].astype(np.uint8))
                 del chunk, linenos, records  # free this chunk's strings before reading the next
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid {exc.encoding} text") from None
     except csv.Error as exc:
         raise InputError(f"{path}: {exc}") from None
+    if non_binary:
+        raise InputError(f"{path}: line {non_binary[0]}: cell {non_binary[1]!r} is not 0/1; "
+                         "values must be 0/1 unless a binarization threshold is given")
     return blocks, dropped
-
-
-def _first_non_binary(path, header: bool, arr: np.ndarray):
-    """Line number and text of the first kept cell that is not 0/1; re-reads the file."""
-    row, col = divmod(int(np.argmin(np.isin(arr, (0.0, 1.0)))), arr.shape[1])
-    with open(path, newline="") as handle:
-        complete = (
-            (lineno, record) for lineno, record in _kept_records(handle, header)
-            if not any(cell.strip().lower() in _MISSING_TOKENS for cell in record)
-        )
-        lineno, record = next(islice(complete, row, None))
-    return lineno, record[col]
 
 
 def ingest_csv(path, header: bool = False, threshold: float | None = None):
@@ -146,19 +154,10 @@ def ingest_csv(path, header: bool = False, threshold: float | None = None):
     """
     if threshold is not None and math.isnan(threshold):
         raise InputError("threshold must be a number, got nan")
-    blocks, dropped = _read_blocks(path, header)
+    blocks, dropped = _read_blocks(path, header, threshold)
     if not sum(map(len, blocks)):
         raise InputError(f"{path}: no usable rows")
-    arr = np.concatenate(blocks)
-    if threshold is not None:
-        bits = (arr < threshold).astype(np.uint8)
-    else:
-        if not np.isin(arr, (0.0, 1.0)).all():
-            lineno, cell = _first_non_binary(path, header, arr)
-            raise InputError(f"{path}: line {lineno}: cell {cell!r} is not 0/1; values must "
-                             "be 0/1 unless a binarization threshold is given")
-        bits = arr.astype(np.uint8)
-    return LongitudinalDataset.from_matrix(bits), dropped
+    return LongitudinalDataset.from_matrix(np.concatenate(blocks)), dropped
 
 
 def simulate_dataset(kind: str, n: int, T: int, rng=None, *, p: float = 0.5,
@@ -234,6 +233,7 @@ class RunManifest:
             raise InputError("reps must be at least 1")
         if self.workers < 1:
             raise InputError("workers must be at least 1")
+        check_seed(self.seed)
         try:  # the config's checks of beta, outside (0, 1) or too small for a finite bound
             self.synth.guarantee(1, self.beta)
         except ValueError as exc:

@@ -224,9 +224,13 @@ def check_next_round(current: int, t: int, T: int, dataset: LongitudinalDataset)
         raise ValueError(f"round {t} not ingested (t_max={dataset.t_max})")
 
 
-# Pools up to numpy's own ``Generator.choice`` cutoff keep the whole-pool
-# permutation: below it ``choice`` runs a hash-set Floyd's algorithm that is
-# slower than a permutation of the pool.
+# Pools up to 10,000 rows keep the whole-pool permutation, the draw that the
+# pinned panels were realized with; moving the cutoff changes which rows are
+# picked. The permutation is not the faster draw above about 500 rows: with
+# numpy 2.4.6 on a 2-core x86-64 host, ``choice(size, c, replace=False,
+# shuffle=False)`` takes 6.5 us for 80 of 800 rows against 10.0 us for
+# ``permutation(size)[:c]``, and 9.5 against 32.7 us for 300 of 3,000; for 6
+# of 16 rows it takes 5.7 against 1.6 us.
 _PERMUTATION_MAX_POOL = 10_000
 
 
@@ -300,12 +304,12 @@ class RowGroups:
     def new_column(self, ones, rng) -> np.ndarray:
         """A new bit column with ``ones[z]`` uniformly random 1s in each group z.
 
-        An empty group asked for no 1s is skipped; it would read no
-        randomness either.
+        Only the groups asked for some 1s are visited: a group asked for none
+        would read no randomness and mark nothing.
         """
         column = np.zeros(self._order.size, dtype=np.uint8)
         ones = np.asarray(ones)
-        visit = np.flatnonzero((self._stops > self._starts) | (ones != 0))
+        visit = np.flatnonzero(ones)
         for start, stop, count in zip(self._starts[visit].tolist(), self._stops[visit].tolist(),
                                       ones[visit].tolist()):
             mark_random_subset(column, self._order[start:stop], count, rng)

@@ -199,7 +199,18 @@ class TestIngestMatchesReference:
         finally:
             tracemalloc.stop()
         assert ds.n == n
-        assert peak <= 3 * n * width * 8
+        assert peak <= 1.5 * n * width * 8
+
+    def test_non_binary_file_is_opened_once(self, tmp_path):
+        # the cell is named from the chunk it is in, not by a second read
+        path = tmp_path / "d.csv"
+        path.write_text("0,1\n" * (2 * _CHUNK_RECORDS) + "1,2\n0,1\n")
+        with mock.patch.object(harness, "open", create=True, wraps=open) as opened:
+            got = _outcome(ingest_csv, path)
+        assert opened.call_count == 1
+        assert got == _outcome(ingest_csv_reference, path)
+        assert got.endswith(f"line {2 * _CHUNK_RECORDS + 1}: cell '2' is not 0/1; values must "
+                            "be 0/1 unless a binarization threshold is given")
 
 
 class TestSimulate:
@@ -580,8 +591,12 @@ class TestCli:
          f"n_pad {2**61} is too large for counts that fit in int64"),
         (["synth-cumulative", "--rho", "1e-300"],
          "rho 1e-300 is too small for counter noise that fits in int64"),
+        (["synth-window", "--k", "2", "--rho", "1", "--seed", "-1"],
+         "seed must be non-negative, got -1"),
+        (["synth-cumulative", "--rho", "1", "--seed", "-1"], "seed must be non-negative, got -1"),
     ], ids=["window-rho-0", "k-past-T", "cumulative-rho-negative", "window-rho-tiny",
-            "window-rho-1e-300", "window-n-pad-past-int64", "cumulative-rho-tiny"])
+            "window-rho-1e-300", "window-n-pad-past-int64", "cumulative-rho-tiny",
+            "window-seed-negative", "cumulative-seed-negative"])
     def test_refused_config_exit_code(self, tmp_path, capsys, argv, message):
         rc = main([*argv, "--sim-kind", "bernoulli", "--n", "10", "--T", "12",
                    "--out", str(tmp_path / "run")])
@@ -606,6 +621,33 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--n", "4", "--T", "2", "--seed", "-2", "--out", "run"],
+         "seed must be non-negative, got -2"),
+        (["synth-cumulative", "--rho", "1", "--data", ".", "--T", "2", "--out", "run"],
+         "Is a directory"),
+        (["synth-window", "--k", "2", "--rho", "1", "--data", "d.csv/x", "--T", "2",
+          "--out", "run"], "Not a directory"),
+        (["eval", "--data", ".", "--queries", '{"kind":"cum","b":1,"t":2}'], "Is a directory"),
+        (["eval", "--data", "d.csv", "--queries", '{"kind":"cum","b":1,"t":2}', "--out", "."],
+         "Is a directory"),
+        (["simulate", "--n", "4", "--T", "2", "--out", "."], "Is a directory"),
+        (["synth-cumulative", "--rho", "1", "--data", "d.csv", "--T", "2", "--out", "d.csv"],
+         "File exists"),
+        (["synth-window", "--k", "2", "--rho", "1", "--data", "d.csv", "--T", "2",
+          "--out", "d.csv/run"], "Not a directory"),
+    ], ids=["simulate-seed-negative", "data-is-a-directory", "data-under-a-file",
+            "eval-data-is-a-directory", "eval-out-is-a-directory", "simulate-out-is-a-directory",
+            "synth-out-is-a-file", "synth-out-under-a-file"])
+    def test_unusable_path_or_seed_exit_code(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").write_text("1,0\n0,1\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "run").exists()
+        assert (tmp_path / "d.csv").read_text() == "1,0\n0,1\n"
 
     def test_refused_bound_config_exit_code(self, capsys):
         rc = main(["bound", "--mode", "window", "--T", "12", "--k", "3", "--rho", "0"])
@@ -709,6 +751,7 @@ class TestCli:
      "simulated data needs a population size n"),
     (lambda tmp: _window_manifest(tmp, reps=0).validate(), "reps must be at least 1"),
     (lambda tmp: _window_manifest(tmp, workers=0).validate(), "workers must be at least 1"),
+    (lambda tmp: _window_manifest(tmp, seed=-1).validate(), "seed must be non-negative, got -1"),
     (lambda tmp: run_experiment(_window_manifest(tmp, queries=[QuerySpec.window("1", 7)])),
      "query window:1 at t=7 is beyond the horizon T=6"),
     # every v < nan is False, so a NaN threshold would code every cell 0
@@ -717,8 +760,8 @@ class TestCli:
     (lambda tmp: ingest_csv_reference(tmp / "unread.csv", threshold=float("nan")),
      "threshold must be a number, got nan"),
 ], ids=["n-0", "T-0", "p-outside", "markov-outside", "two-sources", "no-source",
-        "simulation-without-n", "reps-0", "workers-0", "query-past-the-horizon",
-        "threshold-nan", "reference-threshold-nan"])
+        "simulation-without-n", "reps-0", "workers-0", "seed-negative",
+        "query-past-the-horizon", "threshold-nan", "reference-threshold-nan"])
 def test_harness_refusals(tmp_path, call, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call(tmp_path)
