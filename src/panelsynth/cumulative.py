@@ -140,7 +140,8 @@ class CumulativeSynthesizer:
     def __init__(self, n: int, cfg: CumulativeSynthConfig, rng=None):
         self.cfg = cfg
         self.n = int(n)
-        self.store = SyntheticStore(self.n)  # refuses n < 1
+        # refuses n < 1; holds no weight memo: _synth_weights below are those weights
+        self.store = SyntheticStore(self.n, keep_weights=False)
         self._noise_rng, self._select = np.random.default_rng(rng).spawn(2)
         self._noise_batch = DiscreteGaussianBatch(cfg.counter_sigma2())
         self.sigma2 = self._noise_batch.sigma2
@@ -162,6 +163,7 @@ class CumulativeSynthesizer:
         check_next_round(self.t, t, self.cfg.T, dataset)
         if dataset.n != self.n:
             raise ValueError("dataset population differs from synthesizer population")
+        true_counts = dataset.cumulative_counts(t)  # first: its temporaries go before the pools
 
         # Synthetic weights before round t lie in 0..t-1, and each weight pool
         # must hold the rows the bank released at that weight for round t-1.
@@ -169,11 +171,11 @@ class CumulativeSynthesizer:
         # engine at round t-1; given it, the bank's clamp keeps every draw
         # z_hat within 0..pool.size.
         hat = self.bank.hat
-        pools = RowGroups(self._synth_weights, -np.diff(hat[: t + 1, t - 1]),
+        pools = RowGroups(self._synth_weights, hat[:t, t - 1] - hat[1 : t + 1, t - 1],
                           f"round {t}: weight pool")
         if self._noise_map is None:
             self._noise_map = _draw_noise_map(self.cfg.T, self._noise_batch, self._noise_rng)
-        s_tilde = dataset.cumulative_counts(t)[1:] + self._noise_map[1 : t + 1, t]
+        s_tilde = true_counts[1:] + self._noise_map[1 : t + 1, t]
         self.s_tilde[1 : t + 1, t] = s_tilde
         self.bank.clamp(t, s_tilde)
         column = pools.new_column(hat[1 : t + 1, t] - hat[1 : t + 1, t - 1], self._select)

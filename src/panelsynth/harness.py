@@ -233,6 +233,8 @@ class RunManifest:
             raise InputError("reps must be at least 1")
         if self.workers < 1:
             raise InputError("workers must be at least 1")
+        if self.save_synth < 0:
+            raise InputError(f"save_synth must be non-negative, got {self.save_synth}")
         check_seed(self.seed)
         try:  # the config's checks of beta, outside (0, 1) or too small for a finite bound
             self.synth.guarantee(1, self.beta)

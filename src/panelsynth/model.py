@@ -97,9 +97,15 @@ class LongitudinalDataset:
     never change once appended, so a histogram over rounds up to t_max is
     final: each is computed once, memoized, and returned read-only.
     Appending is single-writer.
+
+    Threshold counts come from per-row weights. The panel keeps the last
+    round's (n bytes, 2n from round 256; not pickled): round t after t-1 adds
+    column t at O(n + t), and any other round recounts its ceil(t / 8) planes.
+    With ``keep_weights=False`` every round recounts and no weights are held,
+    for a store whose writer keeps those weights itself.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, keep_weights: bool = True):
         if n < 1:
             raise ValueError("population size must be at least 1")
         self.n = int(n)
@@ -107,6 +113,8 @@ class LongitudinalDataset:
         self._planes: list[np.ndarray] = []
         self._hists: dict[tuple[int, int], SuffixHistogram] = {}
         self._cum: dict[int, np.ndarray] = {}
+        self._keep_weights = keep_weights
+        self._weights: tuple[int, np.ndarray] | None = None  # (t, per-row weights at round t)
 
     @classmethod
     def from_matrix(cls, bits) -> "LongitudinalDataset":
@@ -130,7 +138,7 @@ class LongitudinalDataset:
 
     def __getstate__(self):
         # the memos stay behind: numpy unpickles arrays writeable
-        return {**self.__dict__, "_hists": {}, "_cum": {}}
+        return {**self.__dict__, "_hists": {}, "_cum": {}, "_weights": None}
 
     @property
     def m(self) -> int:
@@ -201,10 +209,17 @@ class LongitudinalDataset:
         counts = self._cum.get(t)
         if counts is None:
             self._check_round(t)
-            weights = np.zeros(self.n, dtype=np.min_scalar_type(t))
-            for g in range(0, t, 8):  # the last plane's rounds past t are masked off
-                plane = self._planes[g // 8]
-                weights += np.bitwise_count(plane if t - g >= 8 else plane & (1 << t - g) - 1)
+            dtype = np.min_scalar_type(t)
+            if self._weights is not None and self._weights[0] == t - 1:
+                weights = self._weights[1].astype(dtype, copy=False)  # widens at t = 256
+                weights += np.bitwise_count(self._planes[(t - 1) // 8] & 1 << (t - 1) % 8)
+            else:
+                weights = np.zeros(self.n, dtype=dtype)
+                for g in range(0, t, 8):  # the last plane's rounds past t are masked off
+                    plane = self._planes[g // 8]
+                    weights += np.bitwise_count(plane if t - g >= 8 else plane & (1 << t - g) - 1)
+            if self._keep_weights:
+                self._weights = t, weights
             exact = np.bincount(weights, minlength=t + 1)
             counts = self._cum[t] = np.cumsum(exact[::-1])[::-1].astype(np.int64)
             counts.flags.writeable = False

@@ -649,6 +649,13 @@ class TestCli:
         assert not (tmp_path / "run").exists()
         assert (tmp_path / "d.csv").read_text() == "1,0\n0,1\n"
 
+    def test_negative_save_synth_exit_code(self, tmp_path, capsys):
+        rc = main(["synth-window", "--k", "2", "--rho", "1", "--save-synth", "-1", "--sim-kind",
+                   "bernoulli", "--n", "10", "--T", "4", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: save_synth must be non-negative, got -1\n"
+        assert not (tmp_path / "run").exists()
+
     def test_refused_bound_config_exit_code(self, capsys):
         rc = main(["bound", "--mode", "window", "--T", "12", "--k", "3", "--rho", "0"])
         assert rc == 2
@@ -752,6 +759,8 @@ class TestCli:
     (lambda tmp: _window_manifest(tmp, reps=0).validate(), "reps must be at least 1"),
     (lambda tmp: _window_manifest(tmp, workers=0).validate(), "workers must be at least 1"),
     (lambda tmp: _window_manifest(tmp, seed=-1).validate(), "seed must be non-negative, got -1"),
+    (lambda tmp: _window_manifest(tmp, save_synth=-1).validate(),
+     "save_synth must be non-negative, got -1"),
     (lambda tmp: run_experiment(_window_manifest(tmp, queries=[QuerySpec.window("1", 7)])),
      "query window:1 at t=7 is beyond the horizon T=6"),
     # every v < nan is False, so a NaN threshold would code every cell 0
@@ -760,7 +769,7 @@ class TestCli:
     (lambda tmp: ingest_csv_reference(tmp / "unread.csv", threshold=float("nan")),
      "threshold must be a number, got nan"),
 ], ids=["n-0", "T-0", "p-outside", "markov-outside", "two-sources", "no-source",
-        "simulation-without-n", "reps-0", "workers-0", "seed-negative",
+        "simulation-without-n", "reps-0", "workers-0", "seed-negative", "save-synth-negative",
         "query-past-the-horizon", "threshold-nan", "reference-threshold-nan"])
 def test_harness_refusals(tmp_path, call, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):

@@ -139,6 +139,42 @@ class TestTrueCumulativeCounts:
             assert (np.diff(s) <= 0).all()
 
 
+class TestIncrementalCumulativeCounts:
+    """Round t's weights are round t-1's plus column t when t follows the last
+    round computed; any other round is recounted from the planes."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 40), st.integers(1, 40), st.floats(0, 1), st.integers(0, 10_000))
+    # weights past 255 widen from uint8 to uint16 at t = 256
+    @example(n=7, T=260, p=0.97, seed=3)
+    def test_matches_the_matrix_in_any_order(self, n, T, p, seed):
+        rng = np.random.default_rng(seed)
+        bits = (rng.random((n, T)) < p).astype(np.uint8)
+        reference = LongitudinalDataset.from_matrix(bits).matrix().cumsum(axis=1, dtype=np.int64)
+
+        def check(ds, rounds):
+            for t in rounds:
+                counts = ds.cumulative_counts(t)
+                expected = (reference[:, t - 1, None] >= np.arange(t + 1)).sum(axis=0)
+                np.testing.assert_array_equal(counts, expected)
+                assert not counts.flags.writeable
+
+        ascending = list(range(1, T + 1))
+        shuffled = rng.permutation(ascending).tolist()
+        in_order = LongitudinalDataset.from_matrix(bits)
+        check(in_order, ascending)
+        check(in_order, ascending + shuffled)  # every round again, from the memo
+        out_of_order = LongitudinalDataset.from_matrix(bits)
+        check(out_of_order, shuffled + ascending)
+        half = LongitudinalDataset.from_matrix(bits)
+        check(half, ascending[: T // 2])
+        check(pickle.loads(pickle.dumps(half)), ascending[T // 2 :] + shuffled)
+        grown = LongitudinalDataset(n)  # a round asked for as soon as it is appended
+        for t in ascending:
+            grown.append_column(bits[:, t - 1])
+            check(grown, [t])
+
+
 class TestSuffixHistogramType:
     def test_explicit_zero_bins(self):
         hist = SuffixHistogram(2, [5, 0, 0, 1])
@@ -177,6 +213,14 @@ class TestSyntheticStore:
         with pytest.raises(ValueError, match="0 or 1"):
             store.append_column(np.array([0, bad]))
         assert store.t_max == 0
+
+    def test_rejects_a_uint8_byte_above_one(self):
+        # a uint8 column skips the equality test; the max check and its message stay
+        store = SyntheticStore(2)
+        store.append_column(np.array([1, 0], dtype=np.uint8))
+        with pytest.raises(ValueError, match="^round 2: values must be 0 or 1$"):
+            store.append_column(np.array([0, 2], dtype=np.uint8))
+        assert store.t_max == 1
 
     def test_accepts_bool_and_float_bits(self):
         store = SyntheticStore(2)
@@ -284,12 +328,14 @@ class TestBytePlanes:
         bits = (np.random.default_rng(2).random((1_000, 16)) < 0.5).astype(np.uint8)
         ds = LongitudinalDataset.from_matrix(bits)
         hist = ds.suffix_histogram(3, 12)
+        counts = ds.cumulative_counts(16)  # leaves an n-byte weight memo behind
         blob = pickle.dumps(ds)
         assert len(blob) < bits.nbytes // 8 + 1_000
         copy = pickle.loads(blob)
         np.testing.assert_array_equal(copy.matrix(), bits)
         again = copy.suffix_histogram(3, 12)
         np.testing.assert_array_equal(again.counts, hist.counts)
+        np.testing.assert_array_equal(copy.cumulative_counts(16), counts)
         with pytest.raises(ValueError, match="read-only"):
             again.counts[0] = 9
 
@@ -312,6 +358,30 @@ class TestBytePlanes:
         assert peak <= 4 * packed
         out, peak = self._peak_bytes(ds.matrix)
         assert peak <= out.nbytes + 2 * packed
+
+    @pytest.mark.parametrize("keep_weights", [True, False])
+    def test_cumulative_rounds_hold_one_weight_array(self, keep_weights):
+        # a cumulative run reads round t's counts once per round, in order;
+        # beyond its planes and those counts the panel holds one n-byte array,
+        # none with keep_weights=False (and about 400 bytes a round of Python
+        # objects for the memo entries)
+        n, T = 200_000, 20
+        bits = (np.random.default_rng(1).random((n, T)) < 0.3).astype(np.uint8)
+        ds = LongitudinalDataset(n, keep_weights=keep_weights)
+        for t in range(T):
+            ds.append_column(bits[:, t])
+        tracemalloc.start()
+        try:
+            base, counts = tracemalloc.get_traced_memory()[0], 0
+            for t in range(1, T + 1):
+                counts += ds.cumulative_counts(t).nbytes
+                held = tracemalloc.get_traced_memory()[0] - base - counts
+                assert held <= keep_weights * n + 1_024 * t, f"round {t}: {held} bytes held"
+        finally:
+            tracemalloc.stop()
+        for t in range(1, T + 1):  # the memoized counts, recounted or from the weights
+            weights = bits[:, :t].sum(axis=1)
+            assert ds.cumulative_counts(t).tolist() == [(weights >= b).sum() for b in range(t + 1)]
 
 
 class TestMarkRandomSubset:

@@ -54,8 +54,9 @@ def test_traced_release_pass_is_clean():
     assert (res.attempted, res.failed, res.padding_exhausted) == (8, 0, 0)
     assert res.problems == []
     names = {span[1] for span in tracer.spans}
+    # model.cum_counts: the engine reads its threshold counts from the dataset
     assert {"window.init", "window.step", "cumulative.step", "model.from_matrix",
-            "model.append", "model.true_hist", "counters.feed"} <= names
+            "model.append", "model.true_hist", "model.cum_counts", "counters.feed"} <= names
     assert not any(span[7] for span in tracer.spans)
 
 
