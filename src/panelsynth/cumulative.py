@@ -124,8 +124,8 @@ class CumulativeSynthesizer:
 
     Per round t, for all thresholds b = 1..t at once: counter b, linear with
     S_{b-1}[b] = 0, releases s_tilde[b, t] = S_t[b] + N[b, t]; the bank clamps
-    it into hat_S[b, t]; and hat_S[b, t] - hat_S[b, t-1] rows of the round t-1
-    weight-(b-1) pool get a 1 (:class:`~panelsynth.model.RowGroups`, by weight).
+    it into hat_S[b, t]; and hat_S[b, t] - hat_S[b, t-1] rows of weight b-1 in
+    the store's ``weights(t - 1)`` get a 1 (:class:`~panelsynth.model.RowGroups`).
 
     The noise does not depend on the data: a run needs one draw per counter
     feed, T(T+1)/2 in all, at the variances ``sigma2`` (public: counter b's
@@ -140,16 +140,12 @@ class CumulativeSynthesizer:
     def __init__(self, n: int, cfg: CumulativeSynthConfig, rng=None):
         self.cfg = cfg
         self.n = int(n)
-        # refuses n < 1; holds no weight memo: _synth_weights below are those weights
-        self.store = SyntheticStore(self.n, keep_weights=False)
+        self.store = SyntheticStore(self.n)  # refuses n < 1
         self._noise_rng, self._select = np.random.default_rng(rng).spawn(2)
         self._noise_batch = DiscreteGaussianBatch(cfg.counter_sigma2())
         self.sigma2 = self._noise_batch.sigma2
         self._noise_map: np.ndarray | None = None
         self.bank = MonotoneBank(cfg.T, m=self.n)
-        # smallest unsigned dtype holding T: weights of at most 16 bits take
-        # numpy's radix argsort, and the per-round `+= column` adds bytes
-        self._synth_weights = np.zeros(self.n, dtype=np.min_scalar_type(cfg.T))
         # raw (pre-monotonization) counter outputs, for diagnostics
         self.s_tilde = np.zeros((cfg.T + 1, cfg.T + 1), dtype=np.int64)
         self.accountant = ZCDPAccountant()
@@ -171,7 +167,7 @@ class CumulativeSynthesizer:
         # engine at round t-1; given it, the bank's clamp keeps every draw
         # z_hat within 0..pool.size.
         hat = self.bank.hat
-        pools = RowGroups(self._synth_weights, hat[:t, t - 1] - hat[1 : t + 1, t - 1],
+        pools = RowGroups(self.store.weights(t - 1), hat[:t, t - 1] - hat[1 : t + 1, t - 1],
                           f"round {t}: weight pool")
         if self._noise_map is None:
             self._noise_map = _draw_noise_map(self.cfg.T, self._noise_batch, self._noise_rng)
@@ -180,7 +176,6 @@ class CumulativeSynthesizer:
         self.bank.clamp(t, s_tilde)
         column = pools.new_column(hat[1 : t + 1, t] - hat[1 : t + 1, t - 1], self._select)
         self.store.append_column(column)
-        self._synth_weights += column
         self.t = t
         return column
 

@@ -98,14 +98,12 @@ class LongitudinalDataset:
     final: each is computed once, memoized, and returned read-only.
     Appending is single-writer.
 
-    Threshold counts come from per-row weights. The panel keeps the last
-    round's (n bytes, 2n from round 256; not pickled): round t after t-1 adds
-    column t at O(n + t), and any other round recounts its ceil(t / 8) planes.
-    With ``keep_weights=False`` every round recounts and no weights are held,
-    for a store whose writer keeps those weights itself.
+    Per-row weights come only from :meth:`weights`, which keeps the last array
+    it returned (n bytes, 2n from round 256; not pickled); threshold counts
+    are one ``bincount`` of them.
     """
 
-    def __init__(self, n: int, keep_weights: bool = True):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("population size must be at least 1")
         self.n = int(n)
@@ -113,8 +111,7 @@ class LongitudinalDataset:
         self._planes: list[np.ndarray] = []
         self._hists: dict[tuple[int, int], SuffixHistogram] = {}
         self._cum: dict[int, np.ndarray] = {}
-        self._keep_weights = keep_weights
-        self._weights: tuple[int, np.ndarray] | None = None  # (t, per-row weights at round t)
+        self._weights: tuple[int, np.ndarray] | None = None  # the last (t, weights(t)) returned
 
     @classmethod
     def from_matrix(cls, bits) -> "LongitudinalDataset":
@@ -200,6 +197,25 @@ class LongitudinalDataset:
             hist.counts.flags.writeable = False
         return hist
 
+    def weights(self, t: int) -> np.ndarray:
+        """Each row's Hamming weight over rounds 1..t, read-only, in ``min_scalar_type(t)``.
+
+        All zero at t = 0, uint16 from t = 256; a returned array never changes.
+        The last array returned advances O(n) a column, so ascending rounds
+        cost O(n) each; a round before it restarts from zero at O(n * t).
+        """
+        if t:
+            self._check_round(t)
+        if self._weights is None or self._weights[0] > t:
+            self._weights = 0, np.zeros(self.n, dtype=np.uint8)
+        start, weights = self._weights
+        for r in range(start + 1, t + 1):
+            col = self._planes[(r - 1) // 8] & 1 << (r - 1) % 8
+            weights = np.add(weights, np.bitwise_count(col, out=col), dtype=np.min_scalar_type(r))
+        weights.flags.writeable = False
+        self._weights = t, weights
+        return weights
+
     def cumulative_counts(self, t: int) -> np.ndarray:
         """Vector S with S[b] = #rows of Hamming weight >= b up to round t, b = 0..t.
 
@@ -209,18 +225,7 @@ class LongitudinalDataset:
         counts = self._cum.get(t)
         if counts is None:
             self._check_round(t)
-            dtype = np.min_scalar_type(t)
-            if self._weights is not None and self._weights[0] == t - 1:
-                weights = self._weights[1].astype(dtype, copy=False)  # widens at t = 256
-                weights += np.bitwise_count(self._planes[(t - 1) // 8] & 1 << (t - 1) % 8)
-            else:
-                weights = np.zeros(self.n, dtype=dtype)
-                for g in range(0, t, 8):  # the last plane's rounds past t are masked off
-                    plane = self._planes[g // 8]
-                    weights += np.bitwise_count(plane if t - g >= 8 else plane & (1 << t - g) - 1)
-            if self._keep_weights:
-                self._weights = t, weights
-            exact = np.bincount(weights, minlength=t + 1)
+            exact = np.bincount(self.weights(t), minlength=t + 1)
             counts = self._cum[t] = np.cumsum(exact[::-1])[::-1].astype(np.int64)
             counts.flags.writeable = False
         return counts

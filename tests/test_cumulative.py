@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ class TestInitialState:
         assert len(synth.sigma2) == 3 and synth._noise_map is None
         assert all(synth.bank.value(0, t) == 5 for t in range(4))
         assert all(synth.bank.value(b, 0) == 0 for b in range(1, 4))
-        assert synth._synth_weights.sum() == 0
+        assert not synth.store.weights(0).any()
 
     def test_counter_horizons_shrink_with_threshold(self):
         synth = CumulativeSynthesizer(5, CumulativeSynthConfig(T=8, rho=0.4),
@@ -211,7 +212,8 @@ class TestReleaseInvariant:
         ds = random_dataset(rng, 40, 4, p=0.5)
         synth = CumulativeSynthesizer(40, CumulativeSynthConfig(T=4, noiseless=True), rng)
         synth.step(ds, 1)
-        synth._synth_weights[:] = 1
+        assert synth.bank.hat[1, 1] < 40
+        synth.bank.hat[1, 1] += 1  # one more row released at weight 1 than the store holds
         with pytest.raises(RuntimeError, match="pool"):
             synth.step(ds, 2)
         # refused before any noise was read: the engine is still at round 1
@@ -221,6 +223,32 @@ class TestReleaseInvariant:
         with pytest.raises(RuntimeError, match="not been set"):
             synth.bank.value(1, 2)
 
+
+
+def test_engine_and_store_hold_one_weight_array():
+    # the rows' synthetic weights live only in the store's weights(t - 1); a
+    # benchmark-style check reads the store's counts after every round. Beyond
+    # the planes, the three (T+1)^2 tables (N, s_tilde, the bank) and those
+    # counts, the engine and its store hold one n-byte array (and about 400
+    # bytes a round of Python objects, 17 KB of them from the first round)
+    n, T = 200_000, 20
+    ds = random_dataset(np.random.default_rng(2), n, T, p=0.3)
+    for t in range(1, T + 1):  # the true panel's own weights and counts, before tracing
+        ds.cumulative_counts(t)
+    cfg = CumulativeSynthConfig(T=T, rho=1.0)
+    tables = 3 * (T + 1) ** 2 * 8
+    tracemalloc.start()
+    try:
+        base, counts = tracemalloc.get_traced_memory()[0], 0
+        synth = CumulativeSynthesizer(n, cfg, np.random.default_rng(3))
+        for t in range(1, T + 1):
+            synth.step(ds, t)
+            counts += synth.store.cumulative_counts(t).nbytes
+            planes = -(-t // 8) * n
+            held = tracemalloc.get_traced_memory()[0] - base - planes - tables - counts
+            assert held <= n + 32_768 + 1_024 * t, f"round {t}: {held} bytes held"
+    finally:
+        tracemalloc.stop()
 
 
 def _tapped_run(cfg, ds, seed):

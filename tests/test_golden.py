@@ -156,3 +156,21 @@ def test_cumulative_large_pools_are_pinned():
     assert _digest(store) == (
         "a3b81b65a3b657cf968a42f5ea6d998866e75fdff944e0602ac30e7c7d41bc7b"
     )
+
+
+def test_cumulative_past_round_255_is_pinned():
+    # nearly every row reports 1, so synthetic weights pass 255 and a round's
+    # weight pools are keyed by uint16 weights from round 257 on
+    T, n, seed = 260, 200, 260
+    synth = CumulativeSynthesizer(n, CumulativeSynthConfig(T=T, rho=1.0), np.random.default_rng(seed))
+    store = synth.run(random_dataset(np.random.default_rng(seed), n, T, p=0.99))
+    assert store.t_max == T and store.weights(T).max() > 255
+    assert _digest(store) == (
+        "65cf893321435569993557425f4f25bbb88803854502b9c00e1c81ef15732575"
+    )
+    assert hashlib.sha256(synth.s_tilde.tobytes()).hexdigest() == (
+        "36b055a699f382b8bb6e0b15b320baf92cb58297496f16f9aaf3cf205bbf0793"
+    )
+    assert hashlib.sha256(synth.bank.hat.tobytes()).hexdigest() == (
+        "db6276e016c0d1b650e2c647f8805aec622d8fee252315fbcf08532145d5ea89"
+    )

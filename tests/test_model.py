@@ -140,8 +140,8 @@ class TestTrueCumulativeCounts:
 
 
 class TestIncrementalCumulativeCounts:
-    """Round t's weights are round t-1's plus column t when t follows the last
-    round computed; any other round is recounted from the planes."""
+    """Round t's weights are the last returned weights plus the columns after
+    them; a round earlier than the last one returned restarts from zero."""
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 40), st.integers(1, 40), st.floats(0, 1), st.integers(0, 10_000))
@@ -152,12 +152,18 @@ class TestIncrementalCumulativeCounts:
         bits = (rng.random((n, T)) < p).astype(np.uint8)
         reference = LongitudinalDataset.from_matrix(bits).matrix().cumsum(axis=1, dtype=np.int64)
 
+        returned = []  # every (t, weights(t)) array handed out, checked again at the end
+
         def check(ds, rounds):
             for t in rounds:
                 counts = ds.cumulative_counts(t)
                 expected = (reference[:, t - 1, None] >= np.arange(t + 1)).sum(axis=0)
                 np.testing.assert_array_equal(counts, expected)
-                assert not counts.flags.writeable
+                weights = ds.weights(t)
+                np.testing.assert_array_equal(weights, reference[:, t - 1])
+                assert weights.dtype == np.min_scalar_type(t)
+                assert not counts.flags.writeable and not weights.flags.writeable
+                returned.append((t, weights))
 
         ascending = list(range(1, T + 1))
         shuffled = rng.permutation(ascending).tolist()
@@ -170,9 +176,14 @@ class TestIncrementalCumulativeCounts:
         check(half, ascending[: T // 2])
         check(pickle.loads(pickle.dumps(half)), ascending[T // 2 :] + shuffled)
         grown = LongitudinalDataset(n)  # a round asked for as soon as it is appended
+        assert grown.weights(0).tolist() == [0] * n and grown.weights(0).dtype == np.uint8
         for t in ascending:
             grown.append_column(bits[:, t - 1])
             check(grown, [t])
+        with pytest.raises(ValueError, match="not appended"):
+            grown.weights(T + 1)
+        # later rounds counted and columns appended left every returned array as it was
+        assert all((weights == reference[:, t - 1]).all() for t, weights in returned)
 
 
 class TestSuffixHistogramType:
@@ -359,15 +370,13 @@ class TestBytePlanes:
         out, peak = self._peak_bytes(ds.matrix)
         assert peak <= out.nbytes + 2 * packed
 
-    @pytest.mark.parametrize("keep_weights", [True, False])
-    def test_cumulative_rounds_hold_one_weight_array(self, keep_weights):
+    def test_cumulative_rounds_hold_one_weight_array(self):
         # a cumulative run reads round t's counts once per round, in order;
-        # beyond its planes and those counts the panel holds one n-byte array,
-        # none with keep_weights=False (and about 400 bytes a round of Python
-        # objects for the memo entries)
+        # beyond its planes and those counts the panel holds one n-byte array
+        # (and about 400 bytes a round of Python objects for the memo entries)
         n, T = 200_000, 20
         bits = (np.random.default_rng(1).random((n, T)) < 0.3).astype(np.uint8)
-        ds = LongitudinalDataset(n, keep_weights=keep_weights)
+        ds = LongitudinalDataset(n)
         for t in range(T):
             ds.append_column(bits[:, t])
         tracemalloc.start()
@@ -376,10 +385,10 @@ class TestBytePlanes:
             for t in range(1, T + 1):
                 counts += ds.cumulative_counts(t).nbytes
                 held = tracemalloc.get_traced_memory()[0] - base - counts
-                assert held <= keep_weights * n + 1_024 * t, f"round {t}: {held} bytes held"
+                assert held <= n + 1_024 * t, f"round {t}: {held} bytes held"
         finally:
             tracemalloc.stop()
-        for t in range(1, T + 1):  # the memoized counts, recounted or from the weights
+        for t in range(1, T + 1):  # the memoized counts
             weights = bits[:, :t].sum(axis=1)
             assert ds.cumulative_counts(t).tolist() == [(weights >= b).sum() for b in range(t + 1)]
 
