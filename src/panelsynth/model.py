@@ -56,7 +56,7 @@ def _bit_copy(col: np.ndarray, what: str) -> np.ndarray:
 def _row_slabs(n: int, width: int):
     """Row slices of about 256 KB of a ``width``-byte-wide panel: no temporary grows with n."""
     rows = max(1, (1 << 18) // max(width, 1))
-    return (slice(lo, lo + rows) for lo in range(0, n, rows))
+    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
 @cache
@@ -115,21 +115,35 @@ class LongitudinalDataset:
 
     @classmethod
     def from_matrix(cls, bits) -> "LongitudinalDataset":
-        """Build a panel from an (n x T) array of 0/1 values."""
+        """Build a panel from an (n x T) array of 0/1 values.
+
+        Row slabs of the input are copied into one zeroed uint8 buffer of
+        8 * ceil(T/8) columns, so every 8 consecutive bytes of it hold one
+        row's rounds 8g+1..8g+8 and one ``packbits`` over the flat buffer
+        gives every plane byte of the slab.
+        """
         arr = np.asarray(bits)
         if arr.ndim != 2:
             raise ValueError("expected a 2-d array of bits (individuals x rounds)")
         n, T = arr.shape
         ds = cls(n)
-        planes = np.empty((-(-T // 8), n), dtype=np.uint8)
-        for rows in _row_slabs(n, T):
+        width = -(-T // 8)
+        planes = np.empty((width, n), dtype=np.uint8)
+        exact_cast = arr.dtype == np.uint8 or arr.dtype == np.bool_
+        slabs = _row_slabs(n, 8 * width)
+        padded = np.zeros((min(n, slabs[0].stop), 8 * width), dtype=np.uint8)  # past T stays 0
+        for rows in slabs:
+            block = arr[rows]
+            slab = padded[: len(block)]
             try:
-                slab = _bit_copy(arr[rows], "values")
+                slab[:, :T] = block if exact_cast else _bit_copy(block, "values")
+                if slab.max(initial=0) > 1:  # a uint8 value that the plain copy let through
+                    raise ValueError
             except ValueError:
                 for t in range(T):  # name the first bad round
                     _bit_copy(arr[:, t], f"round {t + 1}: values")
                 raise
-            planes[:, rows] = np.packbits(slab, axis=1, bitorder="little").T
+            planes[:, rows] = np.packbits(slab, bitorder="little").reshape(len(block), width).T
         ds._planes, ds.t_max = list(planes), T
         return ds
 

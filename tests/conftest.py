@@ -50,6 +50,15 @@ def random_dataset(rng, n, T, p=None) -> LongitudinalDataset:
     return LongitudinalDataset.from_matrix((rng.random((n, T)) < p).astype(np.uint8))
 
 
+def packed_planes_reference(bits) -> np.ndarray:
+    """The (ceil(T/8) x n) byte planes of an (n x T) 0/1 array, each row packed on its own.
+
+    The oracle for LongitudinalDataset.from_matrix, which packs one padded, flat
+    byte stream per row slab instead.
+    """
+    return np.packbits(np.asarray(bits).astype(np.uint8), axis=1, bitorder="little").T
+
+
 def ingest_csv_reference(path, header: bool = False, threshold: float | None = None,
                          delimiter: str = ","):
     """Row-by-row CSV ingestion, one Python step per cell: the oracle for ingest_csv.

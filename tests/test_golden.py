@@ -174,3 +174,16 @@ def test_cumulative_past_round_255_is_pinned():
     assert hashlib.sha256(synth.bank.hat.tobytes()).hexdigest() == (
         "db6276e016c0d1b650e2c647f8805aec622d8fee252315fbcf08532145d5ea89"
     )
+
+
+def test_packed_planes_are_pinned():
+    # 70,001 rows cross the 4,096-row packing slab 17 times and end in a
+    # partial one; 61 rounds leave the last of the 8 planes 5 bits deep
+    ds = simulate_dataset("markov", 70_001, 61, np.random.default_rng(35))
+    digest = hashlib.sha256()
+    for plane in ds._planes:
+        assert plane.dtype == np.uint8 and plane.shape == (70_001,)
+        digest.update(plane.tobytes())
+    assert len(ds._planes) == 8 and digest.hexdigest() == (
+        "613aaca2cd94801a4f8f260a1709b6358c22c7376d169a7d80571ddb857c25ac"
+    )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import packed_planes_reference
 from panelsynth.dp import BitSource, ceil_log2, zcdp_to_approx_dp
 from panelsynth.model import (
     LongitudinalDataset,
@@ -72,6 +73,15 @@ class TestIngest:
         bits[0, 11] = 2
         bits[45_000, 9] = -1
         with pytest.raises(ValueError, match="round 10: values must be 0 or 1"):
+            LongitudinalDataset.from_matrix(bits)
+
+    @pytest.mark.parametrize("bad", [2, 255])
+    def test_uint8_value_above_one_is_named(self, bad):
+        # uint8 rows are copied without a cast; a value in the second slab and
+        # the ninth plane must still be refused and its round named
+        bits = np.zeros((5_000, 70), dtype=np.uint8)
+        bits[4_500, 64] = bad
+        with pytest.raises(ValueError, match="round 65: values must be 0 or 1"):
             LongitudinalDataset.from_matrix(bits)
 
 
@@ -326,6 +336,33 @@ class TestBytePlanes:
                     ds.suffix_histogram(k, t).counts, np.bincount(codes, minlength=1 << k)
                 )
 
+    # each input layout from_matrix accepts, built from the same 0/1 uint8 array
+    LAYOUTS = {
+        "bool": lambda bits: bits.astype(bool),
+        "uint8": lambda bits: bits,
+        "int64": lambda bits: bits.astype(np.int64),
+        "float64": lambda bits: bits.astype(np.float64),
+        "fortran": np.asfortranarray,
+        "strided": lambda bits: np.repeat(bits, 2, axis=1)[::-1, ::2],  # a view
+    }
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 10_000), st.integers(0, 70), st.floats(0, 1),
+           st.integers(0, 2**32 - 1), st.sampled_from(sorted(LAYOUTS)))
+    # 60 rounds pad to 64 columns, so slabs are 4,096 rows: these cross one
+    @example(n=10_000, T=60, p=0.5, seed=1, layout="uint8")
+    @example(n=4_097, T=57, p=0.5, seed=2, layout="strided")
+    @example(n=9_000, T=70, p=0.9, seed=3, layout="fortran")
+    def test_planes_match_the_per_row_packer(self, n, T, p, seed, layout):
+        bits = (np.random.default_rng(seed).random((n, T)) < p).astype(np.uint8)
+        given_bits = self.LAYOUTS[layout](bits)
+        before = given_bits.copy()
+        ds = LongitudinalDataset.from_matrix(given_bits)
+        planes = np.array(ds._planes, dtype=np.uint8).reshape(-1, n)
+        np.testing.assert_array_equal(planes, packed_planes_reference(given_bits))
+        assert all(plane.flags.c_contiguous and plane.flags.writeable for plane in ds._planes)
+        np.testing.assert_array_equal(given_bits, before)
+
     def test_copies_out_are_fresh_and_read_only(self):
         ds = LongitudinalDataset.from_matrix([[1, 0], [0, 1]])
         for arr in (ds.column(2), ds.matrix()):
@@ -369,6 +406,16 @@ class TestBytePlanes:
         assert peak <= 4 * packed
         out, peak = self._peak_bytes(ds.matrix)
         assert peak <= out.nbytes + 2 * packed
+
+    def test_packing_holds_one_slab_beyond_its_planes(self):
+        # beyond its planes, packing holds one padded 256 KB slab and that
+        # slab's packed bytes, whatever n is
+        n, T = 200_000, 60
+        bits = (np.random.default_rng(0).random((n, T)) < 0.3).astype(np.uint8)
+        ds, peak = self._peak_bytes(lambda: LongitudinalDataset.from_matrix(bits))
+        planes = sum(plane.nbytes for plane in ds._planes)
+        assert planes == n * 8
+        assert peak - planes <= 384 * 1024
 
     def test_cumulative_rounds_hold_one_weight_array(self):
         # a cumulative run reads round t's counts once per round, in order;
