@@ -82,24 +82,12 @@ def _chunk_values(path, linenos, records, width: int) -> np.ndarray:
     Raises the InputError of the chunk's first ragged record or non-numeric cell.
     """
     if set(map(len, records)) == {width}:
-        try:  # plain float() is the fast common case
-            return np.fromiter(map(float, chain.from_iterable(records)), float,
-                               len(records) * width)
-        except ValueError:
-            pass
-        # one more float() pass that keeps its values: list.extend holds every
-        # value parsed before a missing token raised, and the pass resumes after it
-        values, cells = [], chain.from_iterable(records)
-        while True:
+        for convert in (float, _cell_value):  # plain float() is the fast common case
             try:
-                values.extend(map(float, cells))
-                return np.fromiter(values, float, len(values))
+                return np.fromiter(map(convert, chain.from_iterable(records)), float,
+                                   len(records) * width)
             except ValueError:
-                row, col = divmod(len(values), width)
-                try:
-                    values.append(_cell_value(records[row][col]))
-                except ValueError:
-                    break
+                pass
     for lineno, record in zip(linenos, records):
         if len(record) != width:
             raise InputError(f"{path}: line {lineno} has {len(record)} columns, expected {width}")

@@ -42,21 +42,30 @@ def suffix_string(code: int, k: int) -> str:
     return format(code, f"0{k}b")
 
 
-def _bit_copy(col: np.ndarray, what: str) -> np.ndarray:
-    """A new uint8 copy of col; ValueError unless every value is 0 or 1."""
+def _bit_copy(col: np.ndarray, what: str, out: np.ndarray | None = None) -> np.ndarray:
+    """A uint8 copy of col, new or into out; ValueError unless every value is 0 or 1."""
     # NaN and out-of-range floats cast to arbitrary bytes; the equality test rejects them
+    bits = np.empty(col.shape, dtype=np.uint8) if out is None else out
     with np.errstate(invalid="ignore"):
-        bits = col.astype(np.uint8)
+        np.copyto(bits, col, casting="unsafe")
     exact_cast = col.dtype == np.uint8 or col.dtype == np.bool_
-    if bits.max(initial=0) > 1 or not (exact_cast or np.array_equal(bits, col)):
+    # an exact cast keeps col's values, so the max scans col: out may be a strided
+    # view, which from_matrix's uint8 input scans about a third slower
+    scanned = col if exact_cast else bits
+    if scanned.max(initial=0) > 1 or not (exact_cast or np.array_equal(bits, col)):
         raise ValueError(f"{what} must be 0 or 1")
     return bits
 
 
+def _slab_rows(width: int) -> int:
+    """Rows in about 256 KB of a ``width``-byte-wide panel: no temporary grows with n."""
+    return max(1, (1 << 18) // max(width, 1))
+
+
 def _row_slabs(n: int, width: int):
-    """Row slices of about 256 KB of a ``width``-byte-wide panel: no temporary grows with n."""
-    rows = max(1, (1 << 18) // max(width, 1))
-    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
+    """Row slices of ``_slab_rows(width)`` rows covering n rows."""
+    rows = _slab_rows(width)
+    return (slice(lo, lo + rows) for lo in range(0, n, rows))
 
 
 @cache
@@ -129,16 +138,13 @@ class LongitudinalDataset:
         ds = cls(n)
         width = -(-T // 8)
         planes = np.empty((width, n), dtype=np.uint8)
-        exact_cast = arr.dtype == np.uint8 or arr.dtype == np.bool_
-        slabs = _row_slabs(n, 8 * width)
-        padded = np.zeros((min(n, slabs[0].stop), 8 * width), dtype=np.uint8)  # past T stays 0
-        for rows in slabs:
+        # one buffer for every slab; its columns past T stay 0
+        padded = np.zeros((min(n, _slab_rows(8 * width)), 8 * width), dtype=np.uint8)
+        for rows in _row_slabs(n, 8 * width):
             block = arr[rows]
             slab = padded[: len(block)]
             try:
-                slab[:, :T] = block if exact_cast else _bit_copy(block, "values")
-                if slab.max(initial=0) > 1:  # a uint8 value that the plain copy let through
-                    raise ValueError
+                _bit_copy(block, "values", out=slab[:, :T])
             except ValueError:
                 for t in range(T):  # name the first bad round
                     _bit_copy(arr[:, t], f"round {t + 1}: values")

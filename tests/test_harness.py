@@ -212,17 +212,6 @@ class TestIngestMatchesReference:
         assert got.endswith(f"line {2 * _CHUNK_RECORDS + 1}: cell '2' is not 0/1; values must "
                             "be 0/1 unless a binarization threshold is given")
 
-    def test_missing_cells_alone_take_the_per_cell_parser(self, tmp_path):
-        # a chunk with a missing token is not converted a second time cell by
-        # cell: only the cells float() refuses reach _cell_value
-        path = tmp_path / "d.csv"
-        path.write_text("0,1,1\n" * 5 + "1,,0\n" + "1,1,0\n" * 5 + " NA ,0,1\n0,nan,1\n")
-        with mock.patch.object(harness, "_cell_value", wraps=harness._cell_value) as parsed:
-            got = _outcome(ingest_csv, path)
-        assert [call.args for call in parsed.call_args_list] == [("",), (" NA ",)]
-        assert got == _outcome(ingest_csv_reference, path)
-        assert got[2] == 3
-
 
 class TestSimulate:
     def test_all_ones(self):
